@@ -63,7 +63,6 @@ from .lattice import (
 from .reduction import (
     FDStepError,
     RefinementStudy,
-    ReductionReport,
     gram_isometry_check,
     gram_matrix_refinement,
     gram_refinement,

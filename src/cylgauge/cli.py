@@ -5,7 +5,8 @@ file (one experiment per section, key = value) can supply defaults, with
 explicit flags taking precedence, and `batch` runs every section of a file.
 
 Exit codes: 0 success, 2 configuration error, 3 statistical failure
-(some z-score >= 4), 4 deterministic numerical failure.
+(some z-score >= 4), 4 numerical failure (a deterministic row out of
+tolerance, or one of NUMERICAL_ERRORS raised).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from . import bargmann, coherent, dynamics, lattice, reduction
-from .groups import GroupKind
+from .groups import BranchCutError, ConvergenceError, GroupKind
 from .reporting import Report, ReportRow
 from .spectral import CharacterSeries
 
@@ -36,6 +37,11 @@ EXIT_NUMERICAL = 4
 
 class ConfigError(ValueError):
     pass
+
+
+# failures of the computation (exit 4); several of them subclass ValueError
+NUMERICAL_ERRORS = (ConvergenceError, reduction.FDStepError, BranchCutError, bargmann.TailTruncationError,
+                    np.linalg.LinAlgError, ZeroDivisionError, FloatingPointError, OverflowError)
 
 
 def _group_of(name: str) -> GroupKind:
@@ -624,6 +630,9 @@ def main(argv: Optional[list] = None) -> int:
         if args.command == "batch":
             return _run_batch(args.config_file, args.output_dir)
         return _run_single(args.command, values)
+    except NUMERICAL_ERRORS as exc:
+        sys.stderr.write(json.dumps({"error": {"kind": "numerical", "message": str(exc)}}) + "\n")
+        return EXIT_NUMERICAL
     except (ConfigError, ValueError) as exc:
         sys.stderr.write(json.dumps({"error": {"kind": "config", "message": str(exc)}}) + "\n")
         return EXIT_CONFIG

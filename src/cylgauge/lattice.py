@@ -156,82 +156,79 @@ class LinkConfiguration:
 
 
 # ---------------------------------------------------------------------------
-# Batched holonomy kernels
+# Batched holonomy kernel
 #
-# SU(2) steps are held as quaternions (w, v) standing for w I + v.sigma,
-# which multiply by  (w1, v1)(w2, v2) = (w1 w2 + v1.v2,
-#                                        w1 v2 + w2 v1 + i v1 x v2).
-# For real connections v is purely imaginary, so everything reduces to the
-# classical real unit-quaternion product.
+# An SU(2) step is a quaternion (w, v) standing for w I + v.sigma, and
+# (w1, v1)(w2, v2) = (w1 w2 + v1.v2, w1 v2 + w2 v1 + i v1 x v2).  Real
+# connections keep b = -i v (value w I + i b.sigma) and stay in floats.
+# The components are four site-major (N, B) arrays, so sites k and k+1 of all
+# B configurations are two contiguous rows; each level of the pairwise
+# product tree is a few whole-array operations, an odd last site carried up.
+# Operation and operand order are fixed (numpy's complex a b and b a may
+# round differently), so the bits do not depend on batch size or layout.
 # ---------------------------------------------------------------------------
 
 
-def _su2_step_quats_real(coords: np.ndarray) -> np.ndarray:
-    """exp((i/2) c.sigma) as real quaternions (w, b), value = w I + i b.sigma."""
-    theta = 0.5 * np.linalg.norm(coords, axis=-1)
-    small = theta < 1e-8
-    th_safe = np.where(small, 1.0, theta)
-    half_sinc = np.where(small, 0.5 * (1.0 - theta**2 / 6.0), 0.5 * np.sin(th_safe) / th_safe)
-    w = np.cos(theta)
-    return np.concatenate([w[..., None], half_sinc[..., None] * coords], axis=-1)
+def _su2_steps(coords: np.ndarray, real: bool) -> list:
+    """Steps exp((i/2) c.sigma / N) for coords (B, N, 3) as [w, x, y, z],
+    each (N, B): (w, b) for real coordinates, (w, v) for complex ones."""
+    comps = np.divide(coords.transpose(2, 1, 0), coords.shape[1], order="C")
+    sq = (comps[0] * comps[0] + comps[1] * comps[1]) + comps[2] * comps[2]
+    if real:
+        theta = 0.5 * np.sqrt(sq)
+        small = theta < 1e-8
+        safe = np.where(small, 1.0, theta) if small.any() else theta
+        w, scale = np.cos(theta), 0.5 * np.sin(safe) / safe
+        scale[small] = 0.5 * (1.0 - theta[small] ** 2 / 6.0)
+    else:
+        mu = 0.5 * np.sqrt(-sq + 0j)
+        small = np.abs(mu) < 1e-8
+        safe = np.where(small, 1.0, mu) if small.any() else mu
+        w, scale = np.cosh(mu), np.sinh(safe) / safe
+        scale[small] = 1.0 + mu[small] ** 2 / 6.0
+        scale = 0.5j * scale
+    return [w] + [np.multiply(scale, c, out=c) for c in comps]
 
 
-def _quat_mul_real(q1: np.ndarray, q2: np.ndarray) -> np.ndarray:
-    w1, b1 = q1[..., 0], q1[..., 1:]
-    w2, b2 = q2[..., 0], q2[..., 1:]
-    w = w1 * w2 - (b1 * b2).sum(axis=-1)
-    b = w1[..., None] * b2 + w2[..., None] * b1 - np.cross(b1, b2)
-    return np.concatenate([w[..., None], b], axis=-1)
+def _quat_mul(q1: list, q2: list, real: bool, w_only: bool) -> list:
+    """Product q1 q2 of component lists; [w] alone when w_only."""
+    w1, x1, y1, z1 = q1
+    w2, x2, y2, z2 = q2
+    dot = (x1 * x2 + y1 * y2) + z1 * z2
+    w = w1 * w2 - dot if real else w1 * w2 + dot
+    if w_only:
+        return [w]
+    vec = (w1 * x2 + w2 * x1, w1 * y2 + w2 * y1, w1 * z2 + w2 * z1)
+    cross = (y1 * z2 - z1 * y2, z1 * x2 - x1 * z2, x1 * y2 - y1 * x2)
+    if real:
+        return [w] + [v - c for v, c in zip(vec, cross)]
+    return [w] + [v + 1j * c for v, c in zip(vec, cross)]
 
 
-def _su2_step_quats_complex(coords: np.ndarray) -> np.ndarray:
-    """Complexified steps as quaternions (w, v), value = w I + v.sigma."""
-    mu = 0.5 * np.sqrt(-(coords * coords).sum(axis=-1) + 0j)
-    small = np.abs(mu) < 1e-8
-    mu_safe = np.where(small, 1.0, mu)
-    sinhc = np.where(small, 1.0 + mu**2 / 6.0, np.sinh(mu_safe) / mu_safe)
-    w = np.cosh(mu)
-    v = 0.5j * sinhc[..., None] * coords
-    return np.concatenate([w[..., None], v], axis=-1)
+def _holonomy_quats(coords: np.ndarray, w_only: bool = False) -> list:
+    """Ordered products q[N-1] ... q[0] as [w, x, y, z] of shape (B,), or
+    [w] alone when w_only."""
+    if len(coords) > 1024:  # blocks of 1024 configurations keep a level's arrays in cache
+        starts = range(0, len(coords), 1024)
+        blocks = [_holonomy_quats(coords[lo:lo + 1024], w_only) for lo in starts]
+        return [np.concatenate(parts) for parts in zip(*blocks)]
+    real = not np.iscomplexobj(coords)
+    q = _su2_steps(coords, real)
+    while len(q[0]) > 1:
+        n = len(q[0])
+        odd = n % 2
+        left, right = [a[1:n - odd:2] for a in q], [a[0:n - odd:2] for a in q]
+        prod = _quat_mul(left, right, real, w_only and n == 2)
+        q = [np.concatenate([p, a[n - 1:]]) if odd else p for p, a in zip(prod, q)]
+    return [a[0] for a in q]
 
 
-def _quat_mul_complex(q1: np.ndarray, q2: np.ndarray) -> np.ndarray:
-    w1, v1 = q1[..., 0], q1[..., 1:]
-    w2, v2 = q2[..., 0], q2[..., 1:]
-    w = w1 * w2 + (v1 * v2).sum(axis=-1)
-    v = w1[..., None] * v2 + w2[..., None] * v1 + 1j * np.cross(v1, v2)
-    return np.concatenate([w[..., None], v], axis=-1)
-
-
-def _reduce_site_products(quats: np.ndarray, mul) -> np.ndarray:
-    """Ordered product q[:, N-1] ... q[:, 0] by pairwise combination."""
-    while quats.shape[1] > 1:
-        n = quats.shape[1]
-        combined = mul(quats[:, 1:n - n % 2:2], quats[:, 0:n - n % 2:2])
-        if n % 2 == 1:
-            combined = np.concatenate([combined, quats[:, n - 1:]], axis=1)
-        quats = combined
-    return quats[:, 0]
-
-
-def _holonomy_quats(group: GroupKind, coords: np.ndarray) -> np.ndarray:
-    n = coords.shape[1]
-    if np.iscomplexobj(coords):
-        return _reduce_site_products(_su2_step_quats_complex(coords / n), _quat_mul_complex)
-    return _reduce_site_products(_su2_step_quats_real(coords / n), _quat_mul_real)
-
-
-def _quat_to_matrix(q: np.ndarray, real: bool) -> np.ndarray:
-    w, v = q[..., 0], q[..., 1:]
+def _quat_to_matrix(q: list, real: bool) -> np.ndarray:
+    w, x, y, z = q
     if real:
         w = w.astype(complex)
-        v = 1j * v
-    out = np.zeros(q.shape[:-1] + (2, 2), dtype=complex)
-    out[..., 0, 0] = w + v[..., 2]
-    out[..., 0, 1] = v[..., 0] - 1j * v[..., 1]
-    out[..., 1, 0] = v[..., 0] + 1j * v[..., 1]
-    out[..., 1, 1] = w - v[..., 2]
-    return out
+        x, y, z = 1j * x, 1j * y, 1j * z
+    return np.stack([np.stack([w + z, x - 1j * y], -1), np.stack([x + 1j * y, w - z], -1)], -2)
 
 
 def holonomy_batch(group: GroupKind, coords: np.ndarray) -> np.ndarray:
@@ -243,7 +240,7 @@ def holonomy_batch(group: GroupKind, coords: np.ndarray) -> np.ndarray:
     coords = np.asarray(coords)
     if group is GroupKind.U1:
         return np.exp(1j * coords[..., 0].mean(axis=1))
-    return _quat_to_matrix(_holonomy_quats(group, coords), not np.iscomplexobj(coords))
+    return _quat_to_matrix(_holonomy_quats(coords), not np.iscomplexobj(coords))
 
 
 def holonomy_traces(group: GroupKind, coords: np.ndarray) -> np.ndarray:
@@ -251,7 +248,7 @@ def holonomy_traces(group: GroupKind, coords: np.ndarray) -> np.ndarray:
     coords = np.asarray(coords)
     if group is GroupKind.U1:
         return np.exp(1j * coords[..., 0].mean(axis=1))
-    return 2.0 * _holonomy_quats(group, coords)[..., 0].astype(complex)
+    return 2.0 * _holonomy_quats(coords, w_only=True)[0].astype(complex)
 
 
 def _element_from_matrix(group: GroupKind, value, real: bool):

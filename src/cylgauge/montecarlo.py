@@ -4,6 +4,8 @@ The sample budget is split into fixed-size chunks; chunk i draws from its own
 generator spawned deterministically from the master seed, and partial sums are
 reduced in chunk order.  Results are therefore bit-identical for a given
 (seed, chunk_size) no matter how many worker threads evaluate the chunks.
+The variance merges per-chunk centred second moments in the same order
+(Chan, Golub & LeVeque 1979), so a large common offset costs no precision.
 """
 
 from __future__ import annotations
@@ -65,13 +67,9 @@ def chunked_mc_vector(
             raise ValueError(
                 f"sampler returned shape {vals.shape}, expected {(sizes[idx], n_quantities)}"
             )
-        re, im = vals.real, vals.imag
-        return (
-            re.sum(axis=0),
-            im.sum(axis=0),
-            (re**2).sum(axis=0),
-            (im**2).sum(axis=0),
-        )
+        parts = np.stack([vals.real, vals.imag])
+        sums = parts.sum(axis=1)
+        return sums, ((parts - sums[:, None] / sizes[idx]) ** 2).sum(axis=1)
 
     if n_workers is not None and n_workers > 1 and len(sizes) > 1:
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
@@ -79,22 +77,20 @@ def chunked_mc_vector(
     else:
         partials = [run_chunk(i) for i in range(len(sizes))]
 
-    sum_re = np.zeros(n_quantities)
-    sum_im = np.zeros(n_quantities)
-    sum_re2 = np.zeros(n_quantities)
-    sum_im2 = np.zeros(n_quantities)
-    for p_re, p_im, p_re2, p_im2 in partials:  # fixed order: reproducible
-        sum_re += p_re
-        sum_im += p_im
-        sum_re2 += p_re2
-        sum_im2 += p_im2
+    # rows: real and imaginary parts; fixed chunk order keeps it reproducible
+    sums = np.zeros((2, n_quantities))
+    m2 = np.zeros((2, n_quantities))
+    done = 0
+    for size, (chunk_sums, chunk_m2) in zip(sizes, partials):
+        delta = chunk_sums / size - (sums / done if done else 0.0)
+        m2 += chunk_m2 + delta**2 * (done * size / (done + size))
+        sums += chunk_sums
+        done += size
 
     n = float(n_samples)
-    mean_re, mean_im = sum_re / n, sum_im / n
+    mean_re, mean_im = sums / n
     if n_samples > 1:
-        var_re = np.maximum(sum_re2 - n * mean_re**2, 0.0) / (n - 1.0)
-        var_im = np.maximum(sum_im2 - n * mean_im**2, 0.0) / (n - 1.0)
-        std_err = np.sqrt((var_re + var_im) / n)
+        std_err = np.sqrt(m2.sum(axis=0) / (n - 1.0) / n)
     else:
         std_err = np.zeros(n_quantities)
     return [

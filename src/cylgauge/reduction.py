@@ -44,9 +44,6 @@ class FDStepError(RuntimeError):
     """Step-halving produced inconsistent finite differences (roundoff)."""
 
 
-ReductionReport = Report
-
-
 # ---------------------------------------------------------------------------
 # Laplacian reduction: Delta on connection space vs Delta_K, pointwise
 # ---------------------------------------------------------------------------
@@ -168,10 +165,6 @@ def semigroup_reduction_check(
 # ---------------------------------------------------------------------------
 # Gram / unitarity of the reduced transform under the complex Gaussian
 # ---------------------------------------------------------------------------
-
-
-def _labels_upto(group: GroupKind, n_max: int) -> list:
-    return list(range(n_max + 1))
 
 
 def _char_table_at_traces(group: GroupKind, n_max: int, traces: np.ndarray) -> np.ndarray:
@@ -484,7 +477,7 @@ def gram_pushforward_estimates(
     swaps which factor is conjugated, matching the overlap-ordered form
     E[<chi_a|state> <state|chi_b>] used by the resolution-of-identity check.
     """
-    labels = _labels_upto(group, n_max)
+    labels = range(n_max + 1)
     pairs = [(a, b) for a in labels for b in labels if a <= b]
     decay = {a: math.exp(-hbar * irrep_info(group, a).casimir / 2.0) for a in labels}
 
@@ -558,7 +551,7 @@ def gram_matrix_refinement(
     Returns {(a, b): RefinementStudy}; much cheaper than per-entry studies
     because the holonomy products are shared.
     """
-    labels = _labels_upto(group, n_max)
+    labels = range(n_max + 1)
     pairs = [(a, b) for a in labels for b in labels if a <= b]
     decay = {a: math.exp(-hbar * irrep_info(group, a).casimir / 2.0) for a in labels}
 

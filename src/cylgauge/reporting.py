@@ -9,6 +9,8 @@ the rows and adds the full parameter echo.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 from dataclasses import dataclass, field
 from typing import Optional
@@ -107,10 +109,12 @@ class Report:
                 return repr(x)
             return str(x)
 
-        lines = [CSV_HEADER]
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")  # quotes "gram[a,b]"
+        writer.writerow(CSV_HEADER.split(","))
         common = self._common_fields()
         for r in self.rows:
-            cells = [
+            writer.writerow([
                 r.quantity,
                 repr(float(r.estimate.real)),
                 repr(float(r.estimate.imag)),
@@ -118,9 +122,8 @@ class Report:
                 fmt(None if r.target is None else float(r.target.real)),
                 fmt(None if r.target is None else float(r.target.imag)),
                 fmt(r.z),
-            ] + [fmt(c) for c in common]
-            lines.append(",".join(cells))
-        return "\n".join(lines) + "\n"
+            ] + [fmt(c) for c in common])
+        return out.getvalue()
 
     def to_json(self) -> str:
         doc = {

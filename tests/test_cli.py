@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 
@@ -10,6 +12,7 @@ from cylgauge.cli import (
     main,
     _exit_code,
 )
+from cylgauge.montecarlo import MCEstimate
 from cylgauge.reporting import CSV_HEADER, Report, ReportRow
 
 
@@ -253,3 +256,40 @@ class TestExitCodes:
             rows=[ReportRow.deterministic("ok", 1.0, 1.0, 1e-9)],
         )
         assert _exit_code(report) == EXIT_OK
+
+    def test_numerical_exception_exit_4(self, capsys):
+        # the heat-kernel series at hbar = 1e-4 needs more terms than its cap
+        code, out, err = run_cli(
+            capsys, "coherent-overlap", "--group", "su2", "--hbar", "1e-4",
+            "--trials", "5", "--seed", "2",
+        )
+        assert code == EXIT_NUMERICAL
+        assert out == ""
+        assert json.loads(err)["error"]["kind"] == "numerical"
+
+
+class TestCsvReport:
+    def test_gram_rows_parse_to_twelve_fields(self, capsys):
+        _, out, _ = run_cli(
+            capsys, "gram", "--group", "su2", "--n-max", "2", "--s", "2", "--hbar", "0.5",
+            "--links", "8", "--samples", "2000", "--seed", "1",
+        )
+        rows = list(csv.reader(io.StringIO(out)))
+        assert len(rows) == 1 + 6
+        assert all(len(row) == 12 for row in rows)
+        assert rows[1][0] == "gram[0,0]"
+
+    def test_rows_without_comma_unchanged(self):
+        report = Report(
+            command="x", params={"N": 4, "s": 1.0, "samples": 10},
+            rows=[
+                ReportRow.from_estimate("chi[1]", MCEstimate(0.5 + 0.25j, 0.125, 10), 0.5),
+                ReportRow.deterministic("gap", 1e-9, 0.0, 1e-8),
+            ],
+            seed=3,
+        )
+        assert report.to_csv() == (
+            CSV_HEADER + "\n"
+            + "chi[1],0.5,0.25,0.125,0.5,0.0,2.0,4,1.0,,10,3\n"
+            + "gap,1e-09,0.0,,0.0,0.0,,4,1.0,,10,3\n"
+        )

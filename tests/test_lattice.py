@@ -22,6 +22,7 @@ from cylgauge.lattice import (
     closure_defect,
     gauge_transform,
     holonomy,
+    holonomy_batch,
     holonomy_traces,
     links_of,
     pushforward_moment,
@@ -285,3 +286,80 @@ def test_holonomy_traces_match_elementwise():
     for i in range(5):
         h = holonomy(LatticeConnection(SU2, coords[i]))
         assert abs(np.trace(h.value) - traces[i]) < 1e-12
+
+
+# Pauli matrices written out here, so the oracle shares no code with cylgauge
+SIGMA = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]], dtype=complex)
+
+
+def expm_2x2(x):
+    """exp(x) by scaling, a 20-term Taylor series and squaring."""
+    squarings = max(0, int(np.ceil(np.log2(max(np.abs(x).sum(), 1e-300)))) + 1)
+    x = x / 2.0**squarings
+    term = np.eye(2, dtype=complex)
+    out = term.copy()
+    for k in range(1, 20):
+        term = term @ x / k
+        out = out + term
+    for _ in range(squarings):
+        out = out @ out
+    return out
+
+
+def oracle_holonomy(coords):
+    """exp(A_{N-1}/N) ... exp(A_0/N) with A_k = (i/2) c_k.sigma, as a plain
+    product of 2x2 matrices."""
+    n = coords.shape[0]
+    h = np.eye(2, dtype=complex)
+    for c in coords:
+        h = expm_2x2(0.5j * np.einsum("j,jab->ab", c, SIGMA) / n) @ h
+    return h
+
+
+class TestKernelOracle:
+    """holonomy_traces and holonomy_batch against the matrix-product oracle."""
+
+    @staticmethod
+    def draw(n, batch, complexified, scale, seed):
+        rng = np.random.default_rng(seed)
+        coords = rng.normal(scale=scale * math.sqrt(n), size=(batch, n, 3))
+        if complexified:
+            coords = coords + 0.5j * rng.normal(scale=scale * math.sqrt(n), size=(batch, n, 3))
+        return coords
+
+    def check(self, coords):
+        hols = holonomy_batch(SU2, coords)
+        traces = holonomy_traces(SU2, coords)
+        assert hols.shape == (coords.shape[0], 2, 2) and traces.shape == (coords.shape[0],)
+        for i, c in enumerate(coords):
+            expected = oracle_holonomy(c)
+            tol = 1e-12 * max(1.0, float(np.max(np.abs(expected))))
+            assert np.max(np.abs(hols[i] - expected)) < tol
+            assert abs(traces[i] - np.trace(expected)) < tol
+
+    @pytest.mark.parametrize("complexified", [False, True])
+    @pytest.mark.parametrize("n", [2, 3, 7, 12, 64])
+    def test_random_coordinates(self, n, complexified):
+        self.check(self.draw(n, 6, complexified, 1.0, 40 + n))
+
+    @pytest.mark.parametrize("complexified", [False, True])
+    def test_single_configuration(self, complexified):
+        self.check(self.draw(7, 1, complexified, 1.0, 41))
+
+    @pytest.mark.parametrize("complexified", [False, True])
+    def test_large_batch_matches_single_configurations_exactly(self, complexified):
+        # the kernel works through long batches in blocks; bits must not move
+        coords = self.draw(7, 2500, complexified, 1.0, 42)
+        traces, hols = holonomy_traces(SU2, coords), holonomy_batch(SU2, coords)
+        for i in (0, 1023, 1024, 2499):
+            assert traces[i] == holonomy_traces(SU2, coords[i:i + 1])[0]
+            assert np.array_equal(hols[i], holonomy_batch(SU2, coords[i:i + 1])[0])
+
+    @pytest.mark.parametrize("complexified", [False, True])
+    @pytest.mark.parametrize("n", [2, 3, 7, 12, 64])
+    def test_zero_and_near_zero_coordinates(self, n, complexified):
+        # steps below the small-angle threshold mixed with ordinary ones
+        coords = self.draw(n, 4, complexified, 1e-9, 60 + n)
+        coords[0] = 0.0
+        coords[3] *= 1e9
+        self.check(coords)

@@ -45,6 +45,12 @@ class TestChunkedMC:
         assert abs(first.mean) < 4 * first.std_error
         assert abs(second.mean - 1.0) < 4 * second.std_error
 
+    def test_large_offset_keeps_standard_error(self):
+        # a sum-of-squares variance loses about 16 digits to a 1e8 mean
+        plain = chunked_mc(lambda rng, m: rng.normal(size=m), 100_000, 1)
+        offset = chunked_mc(lambda rng, m: 1e8 + rng.normal(size=m), 100_000, 1)
+        assert offset.std_error == pytest.approx(plain.std_error, rel=1e-6)
+
     def test_shape_mismatch_rejected(self):
         def bad(rng, m):
             return np.zeros((m, 3), dtype=complex)
