@@ -14,6 +14,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -174,14 +175,17 @@ class ComplexGroupElement:
 
     def _validate(self):
         if self.group is GroupKind.U1:
-            if self.value == 0 or not np.isfinite(self.value):
+            if self.value == 0 or not cmath.isfinite(self.value):
                 raise ValueError("U(1)-side elements must be finite and nonzero")
         else:
-            if not np.all(np.isfinite(self.value)):
+            # Python complexes: numpy's per-call overhead on 2x2 arrays would
+            # dominate every product
+            (a, b), (c, d) = self.value.tolist()
+            if not all(map(cmath.isfinite, (a, b, c, d))):
                 raise ValueError("matrix entries must be finite")
             # det cancellation error grows with the entry scale
-            scale = max(1.0, float(np.max(np.abs(self.value))) ** 2)
-            if abs(_det2(self.value) - 1.0) > self._validate_tol * scale:
+            scale = max(1.0, max(abs(a), abs(b), abs(c), abs(d)) ** 2)
+            if abs(a * d - b * c - 1.0) > self._validate_tol * scale:
                 raise ValueError("SL(2,C) elements must have determinant 1")
         if self._unitary and self.unitarity_defect() > self._validate_tol:
             raise ValueError("group element is not unitary")
@@ -199,7 +203,11 @@ class ComplexGroupElement:
     def unitarity_defect(self) -> float:
         if self.group is GroupKind.U1:
             return abs(abs(self.value) - 1.0)
-        return float(np.max(np.abs(self.value.conj().T @ self.value - _EYE2)))
+        # largest entry of |V* V - I|; the off-diagonal pair are conjugates
+        (a, b), (c, d) = self.value.tolist()
+        col0 = a.real * a.real + a.imag * a.imag + c.real * c.real + c.imag * c.imag
+        col1 = b.real * b.real + b.imag * b.imag + d.real * d.real + d.imag * d.imag
+        return max(abs(col0 - 1.0), abs(col1 - 1.0), abs(a.conjugate() * b + c.conjugate() * d))
 
     def inverse(self) -> "ComplexGroupElement":
         if self.group is GroupKind.U1:

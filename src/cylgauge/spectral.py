@@ -12,6 +12,7 @@ continuation off K.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Dict, Optional, Union
@@ -245,60 +246,44 @@ def evaluate_series_at_traces(phi: CharacterSeries, traces: np.ndarray) -> np.nd
 # ---------------------------------------------------------------------------
 
 
-def _u1_heat_values(t: float, values: np.ndarray, y_max: float, tol: float) -> np.ndarray:
-    """sum_k exp(-t k^2 / 2) z^k with tail bound 2 exp(-t k^2/2 + k y_max)."""
-    if y_max / t > MAX_SERIES_TERMS:
+@functools.lru_cache(maxsize=64)
+def _series_plan(group: GroupKind, t: float, y_max: float, tol: float) -> tuple:
+    """Coefficients of the heat-kernel series, up to where it is truncated.
+
+    U1: exp(-t k^2 / 2), tail bound 2 exp(-t k^2/2 + k y_max).
+    SU2: (n+1) exp(-t n(n+2)/8), bound (n+1)^2 exp(-t n(n+2)/8 + n y_max).
+    The stopping rule depends only on (t, y_max, tol), so every evaluation
+    at those arguments shares one plan; off K each polar radius is its own key.
+    """
+    u1 = group is GroupKind.U1
+    peak = (1.0 if u1 else 4.0) * y_max / t
+    if peak > MAX_SERIES_TERMS:
         raise ConvergenceError(
-            f"series peak near term {y_max / t:.0f} exceeds the {MAX_SERIES_TERMS} cap"
+            f"series peak near term {peak:.0f} exceeds the {MAX_SERIES_TERMS} cap"
         )
-    values = np.asarray(values, dtype=complex)
-    total = np.ones_like(values)
-    zpow = np.ones_like(values)
-    zinv = 1.0 / values
-    zninv = np.ones_like(values)
-    k = 0
-    with np.errstate(over="ignore", invalid="ignore"):
-        while True:
-            k += 1
-            if k > MAX_SERIES_TERMS:
-                raise ConvergenceError(f"heat kernel series not below {tol} after {k} terms")
-            zpow = zpow * values
-            zninv = zninv * zinv
-            total += math.exp(-t * k * k / 2.0) * (zpow + zninv)
-            # next-term bound (log space); 0.1 leaves headroom for the tail
-            log_bound = math.log(2.0) - t * (k + 1) ** 2 / 2.0 + (k + 1) * y_max
-            if log_bound < math.log(0.1 * tol) and k >= y_max / t + 1:
-                break
-    if not np.all(np.isfinite(total)):
-        raise ConvergenceError("heat kernel series overflowed before converging")
-    return total
+    coeffs = [1.0]
+    for m in range(1, MAX_SERIES_TERMS + 1):
+        # next-term bound (log space); 0.1 leaves headroom for the tail
+        if u1:
+            coeffs.append(math.exp(-t * m * m / 2.0))
+            log_bound = math.log(2.0) - t * (m + 1) ** 2 / 2.0 + (m + 1) * y_max
+        else:
+            c_m = m * (m + 2) / 4.0
+            coeffs.append((m + 1) * math.exp(-t * c_m / 2.0))
+            log_bound = 2.0 * math.log(m + 2) - t * (m + 1) * (m + 3) / 8.0 + (m + 1) * y_max
+        if log_bound < math.log(0.1 * tol) and m >= peak + 1:
+            return tuple(coeffs)
+    raise ConvergenceError(f"heat kernel series not below {tol} after {MAX_SERIES_TERMS + 1} terms")
 
 
-def _su2_heat_values(t: float, traces: np.ndarray, y_max: float, tol: float) -> np.ndarray:
-    """sum_n (n+1) exp(-t n(n+2)/8) chi_n, bound (n+1)^2 exp(-t n(n+2)/8 + n y)."""
-    if 4.0 * y_max / t > MAX_SERIES_TERMS:
-        raise ConvergenceError(
-            f"series peak near term {4.0 * y_max / t:.0f} exceeds the {MAX_SERIES_TERMS} cap"
-        )
-    traces = np.asarray(traces, dtype=complex)
-    total = np.ones_like(traces)
-    chi_prev = np.ones_like(traces)
-    chi = traces.copy()
-    n = 0
-    with np.errstate(over="ignore", invalid="ignore"):
-        while True:
-            n += 1
-            if n > MAX_SERIES_TERMS:
-                raise ConvergenceError(f"heat kernel series not below {tol} after {n} terms")
-            c_n = n * (n + 2) / 4.0
-            total += (n + 1) * math.exp(-t * c_n / 2.0) * chi
-            # next-term bound (log space); 0.1 leaves headroom for the tail
-            log_bound = 2.0 * math.log(n + 2) - t * (n + 1) * (n + 3) / 8.0 + (n + 1) * y_max
-            if log_bound < math.log(0.1 * tol) and n >= 4.0 * y_max / t + 1:
-                break
+def _su2_series(coeffs: tuple, traces, one):
+    """sum_n coeffs[n] chi_n by the trace recursion; traces is an array or a real float."""
+    total = chi_prev = one
+    chi = traces
+    for n in range(1, len(coeffs)):
+        if n > 1:
             chi, chi_prev = traces * chi - chi_prev, chi
-    if not np.all(np.isfinite(total)):
-        raise ConvergenceError("heat kernel series overflowed before converging")
+        total = total + coeffs[n] * chi
     return total
 
 
@@ -320,11 +305,11 @@ def heat_kernel(
         tol = DEFAULT_TOL_COMPACT if on_group else DEFAULT_TOL_COMPLEX
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    y_max = imaginary_radius(g)
-    if group is GroupKind.U1:
-        val = _u1_heat_values(t, np.asarray(g.value), y_max, tol)
-    else:
-        val = _su2_heat_values(t, np.asarray(g.trace()), y_max, tol)
+    if group is GroupKind.SU2 and on_group:
+        # the trace is real on K: the same recurrence in Python floats
+        return _su2_series(_series_plan(group, t, 0.0, tol), g.trace().real, 1.0)
+    points = g.value if group is GroupKind.U1 else g.trace()
+    val = heat_kernel_at_traces(group, t, points, imaginary_radius(g), tol)
     return float(val.real) if on_group else complex(val)
 
 
@@ -333,9 +318,22 @@ def heat_kernel_at_traces(
 ) -> np.ndarray:
     """Vectorized heat kernel from traces (U1: element values); y_max must
     bound the polar radius |y| over the whole batch."""
-    if group is GroupKind.U1:
-        return _u1_heat_values(t, traces, y_max, tol)
-    return _su2_heat_values(t, traces, y_max, tol)
+    coeffs = _series_plan(group, t, y_max, tol)
+    traces = np.asarray(traces, dtype=complex)
+    total = np.ones_like(traces)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if group is GroupKind.SU2:
+            total = _su2_series(coeffs, traces, total)
+        else:
+            zpow = zninv = total
+            zinv = 1.0 / traces
+            for c in coeffs[1:]:
+                zpow = zpow * traces
+                zninv = zninv * zinv
+                total = total + c * (zpow + zninv)
+    if not np.all(np.isfinite(total)):
+        raise ConvergenceError("heat kernel series overflowed before converging")
+    return total
 
 
 # ---------------------------------------------------------------------------

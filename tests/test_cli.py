@@ -265,7 +265,9 @@ class TestExitCodes:
         )
         assert code == EXIT_NUMERICAL
         assert out == ""
-        assert json.loads(err)["error"]["kind"] == "numerical"
+        error = json.loads(err)["error"]
+        assert error["kind"] == "numerical"
+        assert error["message"] == "series peak near term 51697 exceeds the 10000 cap"
 
 
 class TestCsvReport:

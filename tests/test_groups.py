@@ -160,6 +160,80 @@ class TestProducts:
             identity(U1) * identity(SU2)
 
 
+def numpy_unitarity_defect(m):
+    """max |V* V - I| by a numpy matrix product, the reference for the scalar form."""
+    return float(np.max(np.abs(m.conj().T @ m - np.eye(2))))
+
+
+class TestValidation:
+    def test_unitarity_threshold(self):
+        # diag(1 + d, 1 / (1 + d)) has det 1 and unitarity defect about 2d
+        for d, accepted in ((0.4e-8, True), (0.6e-8, False)):
+            m = np.diag([1.0 + d, 1.0 / (1.0 + d)]).astype(complex)
+            assert (numpy_unitarity_defect(m) < 1e-8) is accepted
+            ComplexGroupElement(SU2, m)  # only the determinant is checked off K
+            if accepted:
+                GroupElement(SU2, m)
+            else:
+                with pytest.raises(ValueError, match="^group element is not unitary$"):
+                    GroupElement(SU2, m)
+
+    def test_unitarity_defect_matches_numpy_product(self):
+        rng = np.random.default_rng(12)
+        for _ in range(200):
+            m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+            m /= np.sqrt(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
+            g = ComplexGroupElement(SU2, m)
+            assert abs(g.unitarity_defect() - numpy_unitarity_defect(m)) < 1e-14 * max(
+                1.0, numpy_unitarity_defect(m)
+            )
+
+    def test_determinant_tolerance_scales_with_entries(self):
+        # entries near 1e3: the det tolerance is 1e-8 * 1e6 = 1e-2
+        s = 1e3
+        ComplexGroupElement(SU2, np.diag([s * (1.0 + 5e-3), 1.0 / s]))
+        with pytest.raises(ValueError, match="^SL\\(2,C\\) elements must have determinant 1$"):
+            ComplexGroupElement(SU2, np.diag([s * (1.0 + 2e-2), 1.0 / s]))
+        with pytest.raises(ValueError, match="determinant 1"):
+            ComplexGroupElement(SU2, np.diag([1.0 + 2e-8, 1.0]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.0, math.nan)])
+    def test_non_finite_entries(self, bad):
+        m = np.eye(2, dtype=complex)
+        m[0, 1] = bad
+        for cls in (GroupElement, ComplexGroupElement):
+            with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+                cls(SU2, m)
+
+    @pytest.mark.parametrize("bad", [0.0, math.nan, complex(math.inf, 0.0)])
+    def test_u1_zero_and_non_finite(self, bad):
+        for cls in (GroupElement, ComplexGroupElement):
+            with pytest.raises(ValueError, match="must be finite and nonzero$"):
+                cls(U1, bad)
+
+    def test_u1_unitarity_threshold(self):
+        GroupElement(U1, 1.0 + 0.9e-8)
+        with pytest.raises(ValueError, match="not unitary"):
+            GroupElement(U1, 1.0 + 1.1e-8)
+
+    def test_unprojected_product_validates(self):
+        rng = np.random.default_rng(13)
+        factors = [exp_map(AlgebraVector(SU2, rng.normal(scale=0.3, size=3))) for _ in range(63)]
+        g = identity(SU2)
+        for f in factors:
+            g = f * g
+        # one factor short of the reprojection: the raw drift must pass the checks
+        assert isinstance(g, GroupElement) and g._staleness == 63
+        assert numpy_unitarity_defect(g.value) < 1e-12
+
+    def test_internal_products_are_checked(self):
+        g = haar_sample(SU2, np.random.default_rng(14))
+        broken = haar_sample(SU2, np.random.default_rng(15))
+        broken.value = 1.1 * broken.value
+        with pytest.raises(ValueError, match="determinant 1"):
+            g * broken
+
+
 class TestHaarIntegration:
     def test_normalization(self):
         for group in (U1, SU2):

@@ -13,6 +13,8 @@ from cylgauge.groups import (
     haar_integrate,
     haar_sample,
     identity,
+    su2_euler_grid,
+    su2_weyl_grid,
     zero_vector,
 )
 from cylgauge.spectral import (
@@ -20,7 +22,9 @@ from cylgauge.spectral import (
     character,
     evaluate_series,
     finite_difference_casimir,
+    _series_plan,
     heat_kernel,
+    heat_kernel_at_traces,
     heat_semigroup,
     irrep_info,
     rho_s_inner_product,
@@ -190,6 +194,33 @@ class TestHeatKernel:
         # feasible peak but the character recursion overflows first
         with pytest.raises(ConvergenceError):
             heat_kernel(SU2, 0.1, far, tol=1e-9)
+
+    @pytest.mark.parametrize("t", [0.5, 1.0, 2.0])
+    def test_scalar_su2_bits_match_batched(self, t):
+        # the scalar path runs the recurrence in real floats; the batched one
+        # in complex arrays, here at traces whose imaginary part is roundoff
+        rng = np.random.default_rng(16)
+        haar = [haar_sample(SU2, rng) for _ in range(500)]
+        angles = su2_weyl_grid(24)[0]
+        weyl = [GroupElement(SU2, np.diag([np.exp(1j * a), np.exp(-1j * a)])) for a in angles]
+        euler = [GroupElement(SU2, m) for m in su2_euler_grid(6)[0]]
+        products = [haar[0] * x.inverse() for x in euler]
+        points = haar + weyl + euler + products
+        traces = np.array([g.trace() for g in points])
+        assert np.count_nonzero(traces.imag) > 0
+        scalar = np.array([heat_kernel(SU2, t, g) for g in points])
+        batched = heat_kernel_at_traces(SU2, t, traces, 0, 1e-12).real
+        assert scalar.tobytes() == batched.tobytes()
+
+    def test_series_plan_cache_is_bounded(self):
+        maxsize = _series_plan.cache_info().maxsize
+        assert maxsize is not None
+        rng = np.random.default_rng(17)
+        for _ in range(maxsize + 10):
+            x, y = rng.normal(size=3), rng.normal(scale=0.5, size=3)
+            g = exp_map(AlgebraVector(SU2, x), AlgebraVector(SU2, y))
+            heat_kernel(SU2, 1.0, g)
+        assert _series_plan.cache_info().currsize <= maxsize
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
