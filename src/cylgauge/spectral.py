@@ -278,12 +278,11 @@ def _series_plan(group: GroupKind, t: float, y_max: float, tol: float) -> tuple:
 
 def _su2_series(coeffs: tuple, traces, one):
     """sum_n coeffs[n] chi_n by the trace recursion; traces is an array or a real float."""
-    total = chi_prev = one
-    chi = traces
-    for n in range(1, len(coeffs)):
-        if n > 1:
-            chi, chi_prev = traces * chi - chi_prev, chi
-        total = total + coeffs[n] * chi
+    total = one + coeffs[1] * traces
+    chi_prev, chi = one, traces
+    for c in coeffs[2:]:
+        chi, chi_prev = traces * chi - chi_prev, chi
+        total += c * chi
     return total
 
 
@@ -325,12 +324,13 @@ def heat_kernel_at_traces(
         if group is GroupKind.SU2:
             total = _su2_series(coeffs, traces, total)
         else:
+            # zpow and zninv are rebound before total first grows in place
             zpow = zninv = total
             zinv = 1.0 / traces
             for c in coeffs[1:]:
                 zpow = zpow * traces
                 zninv = zninv * zinv
-                total = total + c * (zpow + zninv)
+                total += c * (zpow + zninv)
     if not np.all(np.isfinite(total)):
         raise ConvergenceError("heat kernel series overflowed before converging")
     return total
