@@ -19,10 +19,10 @@ from cylgauge.groups import (
 )
 from cylgauge.spectral import (
     CharacterSeries,
+    _series_plan,
     character,
     evaluate_series,
     finite_difference_casimir,
-    _series_plan,
     heat_kernel,
     heat_kernel_at_traces,
     heat_semigroup,
