@@ -67,7 +67,6 @@ def _phi_single(group: GroupKind, label: int) -> CharacterSeries:
 
 def run_pushforward(o: dict) -> Report:
     group = _group_of(o["group"])
-    _require(o["links"] >= 2, "need at least 2 links")
     _require(o["s"] > 0, "s must be positive")
     est, target = lattice.pushforward_moment(
         group, o["label"], o["s"], o["links"], o["samples"], o["seed"],
@@ -445,6 +444,9 @@ def _resolve_options(command: str, cli_values: dict, config_section) -> dict:
         options["seed"] = int(env_seed) if env_seed else 0
     if options.get("workers") is None:
         options["workers"] = os.cpu_count()  # never affects numerical output
+    _require(options["links"] >= 2, "need at least 2 links")
+    _require(options["n_max"] >= 0, "n_max must be >= 0")
+    _require(options["workers"] >= 1, "workers must be >= 1")
     if command in ("pushforward", "gram", "semigroup-check", "resolution-check"):
         _require(int(options["samples"]) >= 1, "samples must be >= 1")
     return options
@@ -587,15 +589,25 @@ def _exit_code(report: Report) -> int:
     return EXIT_OK
 
 
-def _run_single(command: str, cli_values: dict) -> int:
-    section = _load_section(cli_values.pop("config", None), command)
+def _run(command: str, cli_values: dict, section, output_stem: Optional[str] = None) -> int:
+    """Resolve options, run and time one command, emit its report to the
+    `output` option, else to output_stem plus the format's suffix, else to
+    stdout; return the exit code."""
     options = _resolve_options(command, cli_values, section)
     fmt = options.get("format") or "csv"
     started = time.perf_counter()
     report = RUNNERS[command](options)
     report.elapsed_s = time.perf_counter() - started
-    _emit(report, fmt, options.get("output"))
+    output = options.get("output")
+    if output_stem and not output:
+        output = f"{output_stem}.{'csv' if fmt == 'csv' else 'json'}"
+    _emit(report, fmt, output)
     return _exit_code(report)
+
+
+def _run_single(command: str, cli_values: dict) -> int:
+    section = _load_section(cli_values.pop("config", None), command)
+    return _run(command, cli_values, section)
 
 
 def _run_batch(config_file: str, output_dir: Optional[str]) -> int:
@@ -608,17 +620,8 @@ def _run_batch(config_file: str, output_dir: Optional[str]) -> int:
         command = values.pop("command", section)
         if command not in RUNNERS:
             raise ConfigError(f"section [{section}]: unknown command {command!r}")
-        options = _resolve_options(command, {}, values)
-        fmt = options.get("format") or "csv"
-        started = time.perf_counter()
-        report = RUNNERS[command](options)
-        report.elapsed_s = time.perf_counter() - started
-        output = options.get("output")
-        if output_dir and not output:
-            suffix = "csv" if fmt == "csv" else "json"
-            output = os.path.join(output_dir, f"{section}.{suffix}")
-        _emit(report, fmt, output)
-        worst = max(worst, _exit_code(report))
+        stem = os.path.join(output_dir, section) if output_dir else None
+        worst = max(worst, _run(command, {}, values, stem))
     return worst
 
 

@@ -29,7 +29,7 @@ from .groups import (
     su2_euler_grid,
     _u1_grid,
 )
-from .reduction import gram_pushforward_estimates
+from .reduction import gram_matrix_refinement
 from .reporting import Report, ReportRow
 from .spectral import (
     CharacterSeries,
@@ -165,13 +165,14 @@ def resolution_identity_check(
     rows = []
     trend = {}
     for s in s_values:
-        entries = gram_pushforward_estimates(
+        studies = gram_matrix_refinement(
             group, n_max, s, hbar, n_sites, n_samples, seed,
-            conj_first=True, n_workers=n_workers,
+            n_levels=1, n_workers=n_workers, conj_first=True,
         )
         off_diag = 0.0
         diag_gap = 0.0
-        for a, b, est, target in entries:
+        for (a, b), study in studies.items():
+            est, target = study.estimates[0], study.target
             rows.append(ReportRow.from_estimate(f"resolution[s={s:g}][{a},{b}]", est, target))
             if a == b:
                 diag_gap = max(diag_gap, abs(target - 1.0))

@@ -32,8 +32,8 @@ from .groups import (
     unembed_algebra,
     _project_unitary,
 )
-from .montecarlo import MCEstimate, chunked_mc
-from .spectral import irrep_info, su2_characters_from_traces
+from .montecarlo import MCEstimate, chunked_mc_vector
+from .spectral import heat_moment, su2_characters_from_traces
 
 
 # ---------------------------------------------------------------------------
@@ -426,8 +426,81 @@ def sample_complex_batch(group, n_sites, s, hbar, rng, batch):
 
 
 # ---------------------------------------------------------------------------
-# Pushforward of the Gaussian measure under the holonomy
+# Monte Carlo moments of the lattice Gaussian: one coupled-level runner
 # ---------------------------------------------------------------------------
+
+
+def coarsen_coords(coords: np.ndarray) -> np.ndarray:
+    """Average adjacent sites: an exact sample of the half-resolution
+    Gaussian, strongly coupled to the fine one."""
+    if coords.shape[1] % 2:
+        raise ValueError("site count must be even to coarsen")
+    return 0.5 * (coords[:, 0::2] + coords[:, 1::2])
+
+
+def _gaussian_draw(group: GroupKind, n_sites: int, s: float, hbar: Optional[float] = None):
+    """draw(rng, m) giving m configurations (m, n_sites, dim) of the
+    variance-s lattice Gaussian or, with hbar, of the complex (s, hbar)
+    Gaussian of sample_complex_batch as Z = A + iP."""
+    dim = group.algebra_dim
+    if hbar is None:
+        scale = math.sqrt(s * n_sites)
+        return lambda rng, m: rng.normal(scale=scale, size=(m, n_sites, dim))
+
+    def draw(rng: np.random.Generator, m: int) -> np.ndarray:
+        re, im = sample_complex_batch(group, n_sites, s, hbar, rng, m)
+        return re + 1j * im
+
+    return draw
+
+
+def _characters(group: GroupKind, labels, traces: np.ndarray) -> dict:
+    """{label: chi_label at traces}; traces are the elements themselves for
+    U1, whose labels may be negative."""
+    if group is GroupKind.U1:
+        return {k: traces**k for k in labels}
+    table = su2_characters_from_traces(max(labels), traces)
+    return {k: table[k] for k in labels}
+
+
+def _coupled_levels(
+    group: GroupKind,
+    draw,
+    columns,
+    n_columns: int,
+    n_levels: int,
+    n_samples: int,
+    seed: int,
+    bases: Optional[list] = None,
+    n_workers: Optional[int] = None,
+) -> list:
+    """Means of columns(traces) at n_levels coupled resolutions N, N/2, ...
+
+    draw(rng, m) supplies the finest-lattice fluctuation, each coarser level
+    averages adjacent sites of the one before, and bases[level], when given
+    and not None, is a deterministic offset added at that level.
+    columns(traces) returns the n_columns value arrays of one level.  Returns
+    the MCEstimates level by level, followed, with two or more levels, by the
+    n_columns per-sample Richardson columns 2 v_N - v_{N/2}, which cancel the
+    leading O(1/N) lattice bias.
+    """
+
+    def sampler(rng: np.random.Generator, m: int) -> np.ndarray:
+        noise = draw(rng, m)
+        per_level = []
+        for level in range(n_levels):
+            base = None if bases is None else bases[level]
+            coords = noise if base is None else noise + base[None, ...]
+            per_level.append(columns(holonomy_traces(group, coords)))
+            if level + 1 < n_levels:
+                noise = coarsen_coords(noise)
+        cols = [col for level_cols in per_level for col in level_cols]
+        if n_levels > 1:
+            cols += [2.0 * f - h for f, h in zip(per_level[0], per_level[1])]
+        return np.stack(cols, axis=1)
+
+    n_quantities = n_columns * (n_levels + 1 if n_levels > 1 else 1)
+    return chunked_mc_vector(sampler, n_quantities, n_samples, seed, n_workers=n_workers)
 
 
 def pushforward_moment(
@@ -441,18 +514,12 @@ def pushforward_moment(
 ) -> tuple[MCEstimate, float]:
     """Monte Carlo estimate of E[chi_label(h(A))] under the variance-s
     Gaussian, with the closed-form heat-kernel target d exp(-s c / 2)."""
-    info = irrep_info(group, abs(label) if group is GroupKind.U1 else label)
-    target = info.dim * math.exp(-s * info.casimir / 2.0)
-    dim = group.algebra_dim
-
-    def sampler(rng: np.random.Generator, m: int) -> np.ndarray:
-        coords = rng.normal(scale=math.sqrt(s * n_sites), size=(m, n_sites, dim))
-        traces = holonomy_traces(group, coords)
-        if group is GroupKind.U1:
-            return traces**label
-        return su2_characters_from_traces(label, traces)[label]
-
-    estimate = chunked_mc(sampler, n_samples, seed, n_workers=n_workers)
+    target = heat_moment(group, label, s)
+    (estimate,) = _coupled_levels(
+        group, _gaussian_draw(group, n_sites, s),
+        lambda traces: [_characters(group, (label,), traces)[label]],
+        1, 1, n_samples, seed, n_workers=n_workers,
+    )
     return estimate, target
 
 

@@ -22,21 +22,24 @@ from .groups import GroupKind, PAULI
 from .lattice import (
     AnyConnection,
     LatticeConnection,
+    _characters,
+    _coupled_levels,
+    _gaussian_draw,
+    coarsen_coords,
     holonomy,
     holonomy_batch,
     holonomy_traces,
-    sample_complex_batch,
 )
-from .montecarlo import MCEstimate, chunked_mc_vector
+from .montecarlo import MCEstimate
 from .reporting import Report, ReportRow
 from .spectral import (
     CharacterSeries,
     evaluate_series,
     evaluate_series_at_traces,
+    heat_moment,
     heat_semigroup,
     irrep_info,
     rho_s_inner_product,
-    su2_characters_from_traces,
 )
 
 
@@ -49,8 +52,15 @@ class FDStepError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-def _series_values_on_coords(phi: CharacterSeries, group: GroupKind, coords: np.ndarray):
-    return evaluate_series_at_traces(phi, holonomy_traces(group, coords))
+def _plus_minus_batch(base: np.ndarray, step: float) -> np.ndarray:
+    """2 N dim copies of base (N, dim); copies 2i and 2i + 1 move the i-th
+    site-major coordinate by +step and -step."""
+    n, dim = base.shape
+    batch = np.broadcast_to(base, (2 * n * dim,) + base.shape).copy()
+    for idx, (k, j) in enumerate(np.ndindex(n, dim)):
+        batch[2 * idx, k, j] += step
+        batch[2 * idx + 1, k, j] -= step
+    return batch
 
 
 def lattice_laplacian(
@@ -59,17 +69,10 @@ def lattice_laplacian(
     """N * sum of second central differences of phi(h(A)) in the site
     coordinates; the overall N converts to coordinates orthonormal for the
     (1/N)-weighted norm."""
-    group, n, dim = L.group, L.n_sites, L.group.algebra_dim
-    base = L.values
-    batch = np.broadcast_to(base, (2 * n * dim,) + base.shape).copy()
-    idx = 0
-    for k in range(n):
-        for j in range(dim):
-            batch[idx, k, j] += fd_step
-            batch[idx + 1, k, j] -= fd_step
-            idx += 2
-    shifted = _series_values_on_coords(phi, group, batch)
-    center = complex(_series_values_on_coords(phi, group, base[None, ...])[0])
+    group, n = L.group, L.n_sites
+    batch = _plus_minus_batch(L.values, fd_step)
+    shifted = evaluate_series_at_traces(phi, holonomy_traces(group, batch))
+    center = complex(evaluate_series_at_traces(phi, holonomy_traces(group, L.values[None, ...]))[0])
     second = (shifted[0::2] + shifted[1::2] - 2.0 * center) / fd_step**2
     return complex(n * second.sum())
 
@@ -141,17 +144,14 @@ def semigroup_reduction_check(
     if hbar <= 0:
         raise ValueError("hbar must be positive")
     group, n = base.group, base.n_sites
-    dim = group.algebra_dim
     real_base = isinstance(base, LatticeConnection)
     base_coords = base.values if real_base else base.complex_values()
     target = evaluate_series(heat_semigroup(group, hbar, phi), holonomy(base))
-
-    def sampler(rng: np.random.Generator, m: int) -> np.ndarray:
-        noise = rng.normal(scale=math.sqrt(hbar * n), size=(m, n, dim))
-        vals = _series_values_on_coords(phi, group, base_coords[None, ...] + noise)
-        return vals.reshape(m, 1)
-
-    est = chunked_mc_vector(sampler, 1, n_samples, seed, n_workers=n_workers)[0]
+    (est,) = _coupled_levels(
+        group, _gaussian_draw(group, n, hbar),
+        lambda traces: [evaluate_series_at_traces(phi, traces)],
+        1, 1, n_samples, seed, bases=[base_coords], n_workers=n_workers,
+    )
     row = ReportRow.from_estimate("semigroup_moment", est, target)
     return Report(
         command="semigroup-check",
@@ -165,13 +165,6 @@ def semigroup_reduction_check(
 # ---------------------------------------------------------------------------
 # Gram / unitarity of the reduced transform under the complex Gaussian
 # ---------------------------------------------------------------------------
-
-
-def _char_table_at_traces(group: GroupKind, n_max: int, traces: np.ndarray) -> np.ndarray:
-    """Rows chi_a(traces) for a = 0..n_max."""
-    if group is GroupKind.U1:
-        return np.stack([traces**k for k in range(n_max + 1)])
-    return su2_characters_from_traces(n_max, traces)
 
 
 def gram_isometry_check(
@@ -192,12 +185,12 @@ def gram_isometry_check(
     and the target expands chi_a chi_b into characters and integrates each
     against rho_s.
     """
-    entries = gram_pushforward_estimates(
-        group, n_max, s, hbar, n_sites, n_samples, seed, n_workers=n_workers
+    studies = gram_matrix_refinement(
+        group, n_max, s, hbar, n_sites, n_samples, seed, n_levels=1, n_workers=n_workers
     )
     rows = [
-        ReportRow.from_estimate(f"gram[{a},{b}]", est, target)
-        for a, b, est, target in entries
+        ReportRow.from_estimate(f"gram[{a},{b}]", study.estimates[0], study.target)
+        for (a, b), study in studies.items()
     ]
     return Report(
         command="gram",
@@ -286,19 +279,12 @@ def submersion_check(L: LatticeConnection, fd_step: float = 1e-5) -> tuple:
     The quotient metric claim predicts dim(K) singular values equal to 1 up
     to the lattice discretization error O(1/N).
     """
-    group, n, dim = L.group, L.n_sites, L.group.algebra_dim
+    group, n = L.group, L.n_sites
     base = L.values
     h0 = holonomy(L)
     h0_inv = np.asarray(h0.inverse().value)
 
-    batch = np.broadcast_to(base, (2 * n * dim,) + base.shape).copy()
-    idx = 0
-    for k in range(n):
-        for j in range(dim):
-            batch[idx, k, j] += fd_step
-            batch[idx + 1, k, j] -= fd_step
-            idx += 2
-    hols = holonomy_batch(group, batch)
+    hols = holonomy_batch(group, _plus_minus_batch(base, fd_step))
     if group is GroupKind.U1:
         rel = hols * h0_inv
         coords = np.angle(rel)[:, None]
@@ -333,28 +319,20 @@ def _submersion_tol(L: LatticeConnection) -> float:
 # ---------------------------------------------------------------------------
 
 
-def coarsen_coords(coords: np.ndarray) -> np.ndarray:
-    """Average adjacent sites: an exact sample of the half-resolution
-    Gaussian, strongly coupled to the fine one."""
-    if coords.shape[1] % 2:
-        raise ValueError("site count must be even to coarsen")
-    return 0.5 * (coords[:, 0::2] + coords[:, 1::2])
-
-
 @dataclass(frozen=True)
 class RefinementStudy:
     """Estimates of one moment at N, N/2, N/4, ... from coupled samples.
 
     extrapolated is the per-sample Richardson combination 2 v_fine - v_half,
-    which cancels the leading O(1/N) lattice bias; bias_ratio estimates
-    (bias at N/2) / (bias at N/4), which is 1/2 under a clean first-order
-    bias.  targets may differ per level when the check's closed form depends
-    on the lattice base point.
+    which cancels the leading O(1/N) lattice bias (None for a one-level
+    study); bias_ratio estimates (bias at N/2) / (bias at N/4), which is 1/2
+    under a clean first-order bias.  targets may differ per level when the
+    check's closed form depends on the lattice base point.
     """
 
     n_sites: tuple
     estimates: tuple
-    extrapolated: MCEstimate
+    extrapolated: Optional[MCEstimate]
     targets: tuple
 
     @property
@@ -374,10 +352,28 @@ class RefinementStudy:
         return abs(d1) / abs(d2)
 
     def extrapolated_target(self) -> complex:
+        if self.extrapolated is None:
+            raise ValueError("need two refinement levels to extrapolate")
         return 2.0 * self.targets[0] - self.targets[1]
 
     def extrapolated_z(self) -> float:
-        return self.extrapolated.z_score(self.extrapolated_target())
+        target = self.extrapolated_target()
+        return self.extrapolated.z_score(target)
+
+
+def _studies(ests: list, n_fine: int, targets: list) -> list:
+    """One RefinementStudy per column of _coupled_levels' output; targets[q]
+    holds column q's per-level targets."""
+    n_columns, n_levels = len(targets), len(targets[0])
+    return [
+        RefinementStudy(
+            n_sites=tuple(n_fine >> level for level in range(n_levels)),
+            estimates=tuple(ests[level * n_columns + q] for level in range(n_levels)),
+            extrapolated=ests[n_levels * n_columns + q] if n_levels > 1 else None,
+            targets=targets[q],
+        )
+        for q in range(n_columns)
+    ]
 
 
 def refinement_study(
@@ -401,34 +397,17 @@ def refinement_study(
     """
     if n_fine % (1 << (n_levels - 1)):
         raise ValueError("n_fine must be divisible by 2^(n_levels-1)")
-    if bases is None:
-        bases = [None] * n_levels
     if isinstance(target, (int, float, complex)):
         targets = tuple(complex(target) for _ in range(n_levels))
     else:
         targets = tuple(complex(t) for t in target)
         if len(targets) != n_levels:
             raise ValueError("need one target per refinement level")
-
-    def sampler(rng: np.random.Generator, m: int) -> np.ndarray:
-        noise = draw_fine(rng, m)
-        cols = []
-        for level in range(n_levels):
-            coords = noise if bases[level] is None else noise + bases[level][None, ...]
-            cols.append(value_of_traces(holonomy_traces(group, coords)))
-            if level + 1 < n_levels:
-                noise = coarsen_coords(noise)
-        cols.append(2.0 * cols[0] - cols[1])  # per-sample Richardson column
-        return np.stack(cols, axis=1)
-
-    ests = chunked_mc_vector(sampler, n_levels + 1, n_samples, seed, n_workers=n_workers)
-    sites = tuple(n_fine >> level for level in range(n_levels))
-    return RefinementStudy(
-        n_sites=sites,
-        estimates=tuple(ests[:n_levels]),
-        extrapolated=ests[n_levels],
-        targets=targets,
+    ests = _coupled_levels(
+        group, draw_fine, lambda traces: [value_of_traces(traces)], 1, n_levels,
+        n_samples, seed, bases=bases, n_workers=n_workers,
     )
+    return _studies(ests, n_fine, [targets])[0]
 
 
 def pushforward_refinement(
@@ -442,60 +421,12 @@ def pushforward_refinement(
     n_workers: Optional[int] = None,
 ) -> RefinementStudy:
     """Coupled-refinement version of the heat-kernel pushforward moment."""
-    info = irrep_info(group, abs(label) if group is GroupKind.U1 else label)
-    target = info.dim * math.exp(-s * info.casimir / 2.0)
-    dim = group.algebra_dim
-
-    def draw_fine(rng: np.random.Generator, m: int) -> np.ndarray:
-        return rng.normal(scale=math.sqrt(s * n_fine), size=(m, n_fine, dim))
-
-    def value(traces: np.ndarray) -> np.ndarray:
-        if group is GroupKind.U1:
-            return traces**label
-        return su2_characters_from_traces(label, traces)[label]
-
     return refinement_study(
-        group, draw_fine, value, target, n_fine, n_levels, n_samples, seed,
+        group, _gaussian_draw(group, n_fine, s),
+        lambda traces: _characters(group, (label,), traces)[label],
+        heat_moment(group, label, s), n_fine, n_levels, n_samples, seed,
         n_workers=n_workers,
     )
-
-
-def gram_pushforward_estimates(
-    group: GroupKind,
-    n_max: int,
-    s: float,
-    hbar: float,
-    n_sites: int,
-    n_samples: int,
-    seed: int,
-    conj_first: bool = False,
-    n_workers: Optional[int] = None,
-) -> list:
-    """Shared estimator for the transform Gram under the complex Gaussian.
-
-    Returns [(a, b, MCEstimate, target)] for a <= b <= n_max.  conj_first
-    swaps which factor is conjugated, matching the overlap-ordered form
-    E[<chi_a|state> <state|chi_b>] used by the resolution-of-identity check.
-    """
-    labels = range(n_max + 1)
-    pairs = [(a, b) for a in labels for b in labels if a <= b]
-    decay = {a: math.exp(-hbar * irrep_info(group, a).casimir / 2.0) for a in labels}
-
-    def sampler(rng: np.random.Generator, m: int) -> np.ndarray:
-        re, im = sample_complex_batch(group, n_sites, s, hbar, rng, m)
-        traces = holonomy_traces(group, re + 1j * im)
-        chars = _char_table_at_traces(group, n_max, traces)
-        if conj_first:
-            cols = [decay[a] * decay[b] * np.conj(chars[a]) * chars[b] for a, b in pairs]
-        else:
-            cols = [decay[a] * decay[b] * chars[a] * np.conj(chars[b]) for a, b in pairs]
-        return np.stack(cols, axis=1)
-
-    ests = chunked_mc_vector(sampler, len(pairs), n_samples, seed, n_workers=n_workers)
-    return [
-        (a, b, est, rho_s_inner_product(group, a, b, s))
-        for (a, b), est in zip(pairs, ests)
-    ]
 
 
 def gram_refinement(
@@ -519,19 +450,14 @@ def gram_refinement(
     decay = math.exp(
         -hbar * (irrep_info(group, a).casimir + irrep_info(group, b).casimir) / 2.0
     )
-    n_top = max(a, b)
-
-    def draw_fine(rng: np.random.Generator, m: int) -> np.ndarray:
-        re, im = sample_complex_batch(group, n_fine, s, hbar, rng, m)
-        return re + 1j * im
 
     def value(traces: np.ndarray) -> np.ndarray:
-        chars = _char_table_at_traces(group, n_top, traces)
+        chars = _characters(group, (a, b), traces)
         return decay * chars[a] * np.conj(chars[b])
 
     return refinement_study(
-        group, draw_fine, value, target, n_fine, n_levels, n_samples, seed,
-        n_workers=n_workers,
+        group, _gaussian_draw(group, n_fine, s, hbar), value, target, n_fine,
+        n_levels, n_samples, seed, n_workers=n_workers,
     )
 
 
@@ -545,43 +471,30 @@ def gram_matrix_refinement(
     seed: int,
     n_levels: int = 2,
     n_workers: Optional[int] = None,
+    conj_first: bool = False,
 ) -> dict:
     """All Gram entries a <= b <= n_max from one coupled sample stream.
 
     Returns {(a, b): RefinementStudy}; much cheaper than per-entry studies
-    because the holonomy products are shared.
+    because the holonomy products are shared.  The Monte Carlo side
+    estimates E[chi_a(h_C(Z)) conj(chi_b(h_C(Z)))] exp(-hbar (c_a + c_b) / 2)
+    against <chi_a, chi_b> in L2(K, rho_s dx); conj_first swaps which factor
+    is conjugated, matching the overlap-ordered form
+    E[<chi_a|state> <state|chi_b>] of the resolution-of-identity check.
     """
     labels = range(n_max + 1)
     pairs = [(a, b) for a in labels for b in labels if a <= b]
     decay = {a: math.exp(-hbar * irrep_info(group, a).casimir / 2.0) for a in labels}
 
-    def sampler(rng: np.random.Generator, m: int) -> np.ndarray:
-        re, im = sample_complex_batch(group, n_fine, s, hbar, rng, m)
-        noise = re + 1j * im
-        per_level = []
-        for level in range(n_levels):
-            chars = _char_table_at_traces(group, n_max, holonomy_traces(group, noise))
-            per_level.append(
-                [decay[a] * decay[b] * chars[a] * np.conj(chars[b]) for a, b in pairs]
-            )
-            if level + 1 < n_levels:
-                noise = coarsen_coords(noise)
-        cols = [col for level_cols in per_level for col in level_cols]
-        cols += [2.0 * f - h for f, h in zip(per_level[0], per_level[1])]
-        return np.stack(cols, axis=1)
+    def columns(traces: np.ndarray) -> list:
+        chars = _characters(group, labels, traces)
+        if conj_first:
+            return [decay[a] * decay[b] * np.conj(chars[a]) * chars[b] for a, b in pairs]
+        return [decay[a] * decay[b] * chars[a] * np.conj(chars[b]) for a, b in pairs]
 
-    n_pairs = len(pairs)
-    ests = chunked_mc_vector(
-        sampler, n_levels * n_pairs + n_pairs, n_samples, seed, n_workers=n_workers
+    ests = _coupled_levels(
+        group, _gaussian_draw(group, n_fine, s, hbar), columns, len(pairs), n_levels,
+        n_samples, seed, n_workers=n_workers,
     )
-    sites = tuple(n_fine >> level for level in range(n_levels))
-    out = {}
-    for idx, (a, b) in enumerate(pairs):
-        target = rho_s_inner_product(group, a, b, s)
-        out[(a, b)] = RefinementStudy(
-            n_sites=sites,
-            estimates=tuple(ests[level * n_pairs + idx] for level in range(n_levels)),
-            extrapolated=ests[n_levels * n_pairs + idx],
-            targets=tuple(complex(target) for _ in range(n_levels)),
-        )
-    return out
+    targets = [(complex(rho_s_inner_product(group, a, b, s)),) * n_levels for a, b in pairs]
+    return dict(zip(pairs, _studies(ests, n_fine, targets)))

@@ -96,6 +96,27 @@ class TestConfigHandling:
         )
         assert code == EXIT_CONFIG
 
+    def assert_config_error(self, capsys, message, *argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_CONFIG and out == ""
+        assert json.loads(err.strip())["error"] == {"kind": "config", "message": message}
+
+    def test_gram_zero_links_exit_2(self, capsys):
+        self.assert_config_error(capsys, "need at least 2 links",
+                                 "gram", "--links", "0", "--samples", "100", "--seed", "1")
+
+    def test_resolution_check_zero_links_exit_2(self, capsys):
+        self.assert_config_error(capsys, "need at least 2 links",
+                                 "resolution-check", "--links", "0", "--samples", "100", "--seed", "1")
+
+    def test_gram_negative_n_max_exit_2(self, capsys):
+        self.assert_config_error(capsys, "n_max must be >= 0",
+                                 "gram", "--n-max", "-1", "--samples", "100", "--seed", "1")
+
+    def test_negative_workers_exit_2(self, capsys):
+        self.assert_config_error(capsys, "workers must be >= 1",
+                                 "pushforward", "--workers", "-3", "--samples", "100", "--seed", "1")
+
     def test_config_file_defaults_and_flag_override(self, capsys, tmp_path):
         cfg = tmp_path / "exp.ini"
         cfg.write_text(

@@ -1,12 +1,16 @@
+import inspect
 import math
 
 import numpy as np
 import pytest
 
+from cylgauge import lattice
 from cylgauge.groups import GroupKind
 from cylgauge.lattice import (
     ComplexLatticeConnection,
     LatticeConnection,
+    _coupled_levels,
+    _gaussian_draw,
     holonomy,
     smooth_connection,
 )
@@ -15,6 +19,7 @@ from cylgauge.reduction import (
     FDStepError,
     coarsen_coords,
     gram_isometry_check,
+    gram_matrix_refinement,
     gram_refinement,
     laplacian_reduction_check,
     lattice_laplacian,
@@ -162,6 +167,12 @@ class TestGramIsometry:
         study = gram_refinement(SU2, 1, 1, 2.0, 0.5, 32, 150_000, seed=4)
         assert study.extrapolated_z() < 3.0
 
+    def test_u1_negative_label_entry(self):
+        # chi_{-1} is the conjugate of chi_1, not a row counted from the end
+        study = gram_refinement(U1, -1, 1, 2.0, 0.5, 16, 20_000, seed=5, n_levels=2)
+        assert abs(study.target - math.exp(-2.0 * 4 / 2.0)) < 1e-12
+        assert study.estimates[0].z_score(study.target) < 4.0
+
     def test_boundary_rejected(self):
         with pytest.raises(ValueError):
             gram_isometry_check(SU2, 1, 0.25, 0.5, 16, 100, seed=0)
@@ -215,6 +226,51 @@ class TestBiasOrder:
     def test_coarsen_requires_even_sites(self):
         with pytest.raises(ValueError):
             coarsen_coords(np.zeros((10, 7, 3)))
+
+
+class TestCoupledLevels:
+    @staticmethod
+    def run(n_columns, n_levels):
+        def columns(traces):
+            chars = su2_characters_from_traces(n_columns, traces)
+            return [chars[k + 1] for k in range(n_columns)]
+
+        return _coupled_levels(
+            SU2, _gaussian_draw(SU2, 16, 1.0), columns, n_columns, n_levels, 2000, seed=6
+        )
+
+    @pytest.mark.parametrize("n_columns", [1, 3])
+    @pytest.mark.parametrize("n_levels", [1, 2, 3])
+    def test_estimate_count(self, n_columns, n_levels):
+        ests = self.run(n_columns, n_levels)
+        extra = n_columns if n_levels > 1 else 0
+        assert len(ests) == n_columns * n_levels + extra
+
+    def test_richardson_columns_follow_the_levels(self):
+        ests = self.run(2, 3)
+        fine, half, richardson = ests[0:2], ests[2:4], ests[6:8]
+        for f, h, r in zip(fine, half, richardson):
+            assert abs(r.mean - (2.0 * f.mean - h.mean)) < 1e-12
+
+    def test_one_level_study_has_no_extrapolation(self):
+        study = pushforward_refinement(SU2, 1, 1.0, 16, 2000, seed=1, n_levels=1)
+        assert study.n_sites == (16,) and study.extrapolated is None
+        with pytest.raises(ValueError):
+            study.extrapolated_z()
+        with pytest.raises(ValueError):
+            study.bias_ratio()
+
+    def test_one_level_gram_matrix(self):
+        studies = gram_matrix_refinement(SU2, 1, 2.0, 0.5, 16, 2000, seed=1, n_levels=1)
+        assert sorted(studies) == [(0, 0), (0, 1), (1, 1)]
+        assert all(len(st.estimates) == 1 and st.extrapolated is None for st in studies.values())
+
+    def test_benchmark_bound_names(self):
+        # the benchmark calls these by name and reads n_samples by keyword
+        for fn in (pushforward_refinement, gram_matrix_refinement):
+            params = inspect.signature(fn).parameters
+            assert {"n_samples", "n_levels", "n_workers"} <= set(params)
+        assert callable(lattice.pushforward_moment)
 
 
 class TestRadialLaplacian:
