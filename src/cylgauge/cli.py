@@ -4,6 +4,12 @@ Every check in the toolkit is reachable as a subcommand; a declarative INI
 file (one experiment per section, key = value) can supply defaults, with
 explicit flags taking precedence, and `batch` runs every section of a file.
 
+The command table is the one place a command's options live: `OPTIONS`
+gives each option its flags, type, default and help, and `COMMANDS` gives
+each subcommand its runner, help line and option keys.  The argument
+parser, the defaults, the coercion of INI values and the Monte Carlo sample
+check are all read from it.
+
 Exit codes: 0 success, 2 configuration error, 3 statistical failure
 (some z-score >= 4), 4 numerical failure (a deterministic row out of
 tolerance, or one of NUMERICAL_ERRORS raised).
@@ -18,14 +24,26 @@ import math
 import os
 import sys
 import time
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from . import bargmann, coherent, dynamics, lattice, reduction
-from .groups import BranchCutError, ConvergenceError, GroupKind
+from .groups import (
+    AlgebraVector,
+    BranchCutError,
+    ComplexGroupElement,
+    ConvergenceError,
+    GroupElement,
+    GroupKind,
+    exp_map,
+    haar_integrate,
+    haar_sample,
+    identity as group_identity,
+    polar_decompose,
+)
 from .reporting import Report, ReportRow
-from .spectral import CharacterSeries
+from .spectral import CharacterSeries, finite_difference_casimir, heat_kernel, irrep_info
 
 SEED_ENV_VAR = "CYLGAUGE_SEED"
 
@@ -54,10 +72,6 @@ def _group_of(name: str) -> GroupKind:
 def _require(cond: bool, message: str):
     if not cond:
         raise ConfigError(message)
-
-
-def _phi_single(group: GroupKind, label: int) -> CharacterSeries:
-    return CharacterSeries.single(group, label)
 
 
 # ---------------------------------------------------------------------------
@@ -97,7 +111,7 @@ def run_laplacian_check(o: dict) -> Report:
     group = _group_of(o["group"])
     rng = np.random.default_rng(o["seed"])
     L = lattice.smooth_connection(group, o["links"], rng, amplitude=o["amplitude"])
-    rep = reduction.laplacian_reduction_check(_phi_single(group, o["label"]), L)
+    rep = reduction.laplacian_reduction_check(CharacterSeries.single(group, o["label"]), L)
     rep.seed = o["seed"]
     return rep
 
@@ -111,7 +125,7 @@ def run_semigroup_check(o: dict) -> Report:
         imag = lattice.smooth_connection(group, o["links"], rng, amplitude=0.3 * o["amplitude"])
         base = lattice.ComplexLatticeConnection(group, base.values, imag.values)
     return reduction.semigroup_reduction_check(
-        _phi_single(group, o["label"]), base, o["hbar"], o["samples"], o["seed"],
+        CharacterSeries.single(group, o["label"]), base, o["hbar"], o["samples"], o["seed"],
         n_workers=o["workers"],
     )
 
@@ -158,9 +172,6 @@ def run_euclid_unitarity(o: dict) -> Report:
 
 
 def run_heat_kernel_check(o: dict) -> Report:
-    from .groups import GroupElement, haar_integrate
-    from .spectral import heat_kernel
-
     worst_u1 = 0.0
     for t in (0.5, 1.0):
         for theta in np.linspace(-math.pi, math.pi, 100):
@@ -183,8 +194,6 @@ def run_heat_kernel_check(o: dict) -> Report:
 
 
 def run_casimir_check(o: dict) -> Report:
-    from .spectral import finite_difference_casimir, irrep_info
-
     rows = []
     for group, labels in ((GroupKind.SU2, range(5)), (GroupKind.U1, range(-4, 5))):
         for label in labels:
@@ -199,8 +208,6 @@ def run_casimir_check(o: dict) -> Report:
 
 
 def run_polar_check(o: dict) -> Report:
-    from .groups import AlgebraVector, ComplexGroupElement, exp_map, polar_decompose
-
     rng = np.random.default_rng(o["seed"])
     worst = 0.0
     for _ in range(1000):
@@ -225,8 +232,6 @@ def run_polar_check(o: dict) -> Report:
 
 
 def run_gauge_check(o: dict) -> Report:
-    from .groups import haar_sample, identity as group_identity
-
     group = _group_of(o["group"])
     rng = np.random.default_rng(o["seed"])
     n = o["links"]
@@ -272,7 +277,7 @@ def run_coherent_overlap(o: dict) -> Report:
         label = coherent.CoherentLabel(g, o["hbar"], o["s"] if o["s"] else math.inf)
         max_label = 3 if group is GroupKind.SU2 else 2
         phi_label = int(rng.integers(0, max_label + 1))
-        phi = _phi_single(group, phi_label)
+        phi = CharacterSeries.single(group, phi_label)
         res = coherent.coherent_overlap(label, phi, quad_level=o["quad_level"])
         rows.append(
             ReportRow.deterministic(
@@ -290,8 +295,6 @@ def run_coherent_overlap(o: dict) -> Report:
 
 
 def _random_complex_point(group: GroupKind, rng: np.random.Generator):
-    from .groups import AlgebraVector, exp_map
-
     dim = group.algebra_dim
     x = AlgebraVector(group, rng.normal(scale=0.8, size=dim))
     y = AlgebraVector(group, rng.normal(scale=0.4, size=dim))
@@ -314,8 +317,6 @@ def run_geodesic(o: dict) -> Report:
     group = _group_of(o["group"])
     rng = np.random.default_rng(o["seed"])
     L = lattice.smooth_connection(group, o["links"], rng, amplitude=o["amplitude"])
-    from .groups import AlgebraVector
-
     x0 = rng.normal(size=group.algebra_dim)
     x0 = AlgebraVector(group, x0 / np.linalg.norm(x0))
     pt = dynamics.make_constrained_pair(L, x0)
@@ -361,77 +362,102 @@ def run_submersion_check(o: dict) -> Report:
     return rep
 
 
-RUNNERS = {
-    "pushforward": run_pushforward,
-    "gram": run_gram,
-    "laplacian-check": run_laplacian_check,
-    "semigroup-check": run_semigroup_check,
-    "euclid-unitarity": run_euclid_unitarity,
-    "coherent-overlap": run_coherent_overlap,
-    "resolution-check": run_resolution_check,
-    "geodesic": run_geodesic,
-    "radial-laplacian": run_radial_laplacian,
-    "submersion-check": run_submersion_check,
+# ---------------------------------------------------------------------------
+# The command table
+# ---------------------------------------------------------------------------
+
+
+class Option(NamedTuple):
+    flags: tuple
+    kind: object  # int, float, bool (a flag), list (comma-separated floats), str or a tuple of choices
+    default: object = None  # builtin value; an INI section overrides it, an explicit flag both
+    help: Optional[str] = None
+
+
+class Command(NamedTuple):
+    run: Callable[[dict], Report]
+    help: str
+    keys: tuple
+
+
+OPTIONS = {
+    "group": Option(("--group",), ("u1", "su2"), "su2"),
+    "links": Option(("--links",), int, 32, "lattice sites N"),
+    "seed": Option(("--seed",), int),
+    "config": Option(("--config",), str, help="INI file with defaults"),
+    "output": Option(("--output",), str, help="report file (default stdout)"),
+    "format": Option(("--format",), ("csv", "json"), "csv"),
+    "samples": Option(("--samples",), int, 100_000),
+    "workers": Option(("--workers",), int),
+    "s": Option(("--s",), float, 1.0, "variance or heat time s (coherent-overlap: omit for limit states)"),
+    "hbar": Option(("--hbar",), float, 0.5),
+    "label": Option(("--k", "--n"), int, 1, "character label (U1 winding k / SU2 index n)"),
+    "n_max": Option(("--n-max",), int, 2),
+    "amplitude": Option(("--amplitude",), float, 1.0),
+    "complex_base": Option(("--complex-base",), bool, False),
+    "degree": Option(("--degree",), int, 8),
+    "c_limit": Option(("--c-limit",), bool, False),
+    "trials": Option(("--trials",), int, 5),
+    "quad_level": Option(("--quad-level",), int, 16),
+    "s_list": Option(("--s-list",), list, [2.0, 8.0, 32.0], "comma-separated s values"),
+    "t_max": Option(("--t-max",), float, 2.0),
+    "t_steps": Option(("--t-steps",), int, 9),
+    "profile": Option(("--profile",), tuple(sorted(_PROFILES)), "quadratic"),
+    "radii": Option(("--radii",), list, [0.5, 1.0, 2.0], "comma-separated radii"),
+}
+
+COMMON = ("group", "links", "seed", "config", "output", "format")
+MONTE_CARLO = COMMON + ("samples", "workers")
+
+COMMANDS = {
+    "pushforward": Command(run_pushforward, "heat-kernel moment of the holonomy pushforward",
+                           MONTE_CARLO + ("s", "label")),
+    "gram": Command(run_gram, "transform unitarity Gram under the complex Gaussian",
+                    MONTE_CARLO + ("s", "hbar", "n_max")),
+    "laplacian-check": Command(run_laplacian_check, "lattice Laplacian vs group Laplacian",
+                               COMMON + ("label", "amplitude")),
+    "semigroup-check": Command(run_semigroup_check, "heat smoothing vs flowed series",
+                               MONTE_CARLO + ("hbar", "label", "amplitude", "complex_base")),
+    "euclid-unitarity": Command(run_euclid_unitarity, "flat-space transform Gram check",
+                                COMMON + ("s", "hbar", "degree", "c_limit")),
+    "coherent-overlap": Command(run_coherent_overlap, "overlap route A vs route B",
+                                COMMON + ("hbar", "s", "trials", "quad_level")),
+    "resolution-check": Command(run_resolution_check, "resolution-of-identity Grams over s",
+                                MONTE_CARLO + ("hbar", "n_max", "s_list")),
+    "geodesic": Command(run_geodesic, "constrained holonomy follows group geodesics",
+                        COMMON + ("amplitude", "t_max", "t_steps")),
+    "radial-laplacian": Command(run_radial_laplacian, "planar Laplacian on radial functions",
+                                COMMON + ("profile", "radii")),
+    "submersion-check": Command(run_submersion_check, "singular values of the holonomy differential",
+                                COMMON + ("amplitude",)),
     # oracle-validation commands so the whole acceptance surface is
     # reachable from the command line
-    "heat-kernel-check": run_heat_kernel_check,
-    "casimir-check": run_casimir_check,
-    "polar-check": run_polar_check,
-    "gauge-check": run_gauge_check,
+    "heat-kernel-check": Command(run_heat_kernel_check, "heat kernel vs wrapped-Gaussian and mass oracles",
+                                 COMMON),
+    "casimir-check": Command(run_casimir_check, "finite-difference Casimir oracle, labels <= 4", COMMON),
+    "polar-check": Command(run_polar_check, "polar decomposition round trips", COMMON),
+    "gauge-check": Command(run_gauge_check, "holonomy invariance under based gauge maps",
+                           COMMON + ("s", "trials")),
 }
-
-# builtin defaults; an INI section may override, explicit flags win
-DEFAULTS = {
-    "group": "su2",
-    "links": 32,
-    "s": 1.0,
-    "hbar": 0.5,
-    "label": 1,
-    "n_max": 2,
-    "samples": 100_000,
-    "workers": None,
-    "amplitude": 1.0,
-    "degree": 8,
-    "c_limit": False,
-    "complex_base": False,
-    "trials": 5,
-    "quad_level": 16,
-    "s_list": [2.0, 8.0, 32.0],
-    "t_max": 2.0,
-    "t_steps": 9,
-    "profile": "quadratic",
-    "radii": [0.5, 1.0, 2.0],
-    "format": "csv",
-    "output": None,
-}
-
-_INT_KEYS = {"links", "label", "n_max", "samples", "workers", "degree",
-             "trials", "quad_level", "t_steps", "seed"}
-_FLOAT_KEYS = {"s", "hbar", "amplitude", "t_max"}
-_BOOL_KEYS = {"c_limit", "complex_base"}
-_LIST_KEYS = {"s_list", "radii"}
 
 
 def _coerce(key: str, raw):
-    if raw is None:
-        return None
-    if isinstance(raw, str):
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _FLOAT_KEYS:
-            return float(raw)
-        if key in _BOOL_KEYS:
-            return raw.strip().lower() in ("1", "true", "yes", "on")
-        if key in _LIST_KEYS:
-            return [float(part) for part in raw.replace(",", " ").split()]
-    return raw
+    """An INI string as the option's type; other values, and keys outside
+    the table, pass through."""
+    kind = OPTIONS[key].kind if key in OPTIONS else str
+    if not isinstance(raw, str) or kind is str or isinstance(kind, tuple):
+        return raw
+    if kind is bool:
+        return raw.strip().lower() in ("1", "true", "yes", "on")
+    if kind is list:
+        return [float(part) for part in raw.replace(",", " ").split()]
+    return kind(raw)
 
 
 def _resolve_options(command: str, cli_values: dict, config_section) -> dict:
-    options = dict(DEFAULTS)
+    options = {key: option.default for key, option in OPTIONS.items()}
     if command == "coherent-overlap":
         options["s"] = 0.0  # falsy: limit states unless s is given explicitly
-    options["seed"] = None
     if config_section is not None:
         for key, raw in config_section.items():
             key = key.replace("-", "_")
@@ -447,7 +473,7 @@ def _resolve_options(command: str, cli_values: dict, config_section) -> dict:
     _require(options["links"] >= 2, "need at least 2 links")
     _require(options["n_max"] >= 0, "n_max must be >= 0")
     _require(options["workers"] >= 1, "workers must be >= 1")
-    if command in ("pushforward", "gram", "semigroup-check", "resolution-check"):
+    if "samples" in COMMANDS[command].keys:
         _require(int(options["samples"]) >= 1, "samples must be >= 1")
     return options
 
@@ -464,93 +490,19 @@ def _build_parser() -> argparse.ArgumentParser:
                     "lattice gauge fields on the circle.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, mc: bool = False):
-        p.add_argument("--group", choices=["u1", "su2"], default=None)
-        p.add_argument("--links", type=int, default=None, help="lattice sites N")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--config", default=None, help="INI file with defaults")
-        p.add_argument("--output", default=None, help="report file (default stdout)")
-        p.add_argument("--format", choices=["csv", "json"], default=None)
-        if mc:
-            p.add_argument("--samples", type=int, default=None)
-            p.add_argument("--workers", type=int, default=None)
-
-    p = sub.add_parser("pushforward", help="heat-kernel moment of the holonomy pushforward")
-    add_common(p, mc=True)
-    p.add_argument("--s", type=float, default=None)
-    p.add_argument("--k", "--n", dest="label", type=int, default=None,
-                   help="character label (U1 winding k / SU2 index n)")
-
-    p = sub.add_parser("gram", help="transform unitarity Gram under the complex Gaussian")
-    add_common(p, mc=True)
-    p.add_argument("--s", type=float, default=None)
-    p.add_argument("--hbar", type=float, default=None)
-    p.add_argument("--n-max", dest="n_max", type=int, default=None)
-
-    p = sub.add_parser("laplacian-check", help="lattice Laplacian vs group Laplacian")
-    add_common(p)
-    p.add_argument("--k", "--n", dest="label", type=int, default=None)
-    p.add_argument("--amplitude", type=float, default=None)
-
-    p = sub.add_parser("semigroup-check", help="heat smoothing vs flowed series")
-    add_common(p, mc=True)
-    p.add_argument("--hbar", type=float, default=None)
-    p.add_argument("--k", "--n", dest="label", type=int, default=None)
-    p.add_argument("--amplitude", type=float, default=None)
-    p.add_argument("--complex-base", dest="complex_base", action="store_const",
-                   const=True, default=None)
-
-    p = sub.add_parser("euclid-unitarity", help="flat-space transform Gram check")
-    add_common(p)
-    p.add_argument("--s", type=float, default=None)
-    p.add_argument("--hbar", type=float, default=None)
-    p.add_argument("--degree", type=int, default=None)
-    p.add_argument("--c-limit", dest="c_limit", action="store_const",
-                   const=True, default=None)
-
-    p = sub.add_parser("coherent-overlap", help="overlap route A vs route B")
-    add_common(p)
-    p.add_argument("--hbar", type=float, default=None)
-    p.add_argument("--s", type=float, default=None, help="finite s (omit for limit states)")
-    p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--quad-level", dest="quad_level", type=int, default=None)
-
-    p = sub.add_parser("resolution-check", help="resolution-of-identity Grams over s")
-    add_common(p, mc=True)
-    p.add_argument("--hbar", type=float, default=None)
-    p.add_argument("--n-max", dest="n_max", type=int, default=None)
-    p.add_argument("--s-list", dest="s_list", default=None,
-                   help="comma-separated s values")
-
-    p = sub.add_parser("geodesic", help="constrained holonomy follows group geodesics")
-    add_common(p)
-    p.add_argument("--amplitude", type=float, default=None)
-    p.add_argument("--t-max", dest="t_max", type=float, default=None)
-    p.add_argument("--t-steps", dest="t_steps", type=int, default=None)
-
-    p = sub.add_parser("radial-laplacian", help="planar Laplacian on radial functions")
-    add_common(p)
-    p.add_argument("--profile", choices=sorted(_PROFILES), default=None)
-    p.add_argument("--radii", default=None, help="comma-separated radii")
-
-    p = sub.add_parser("submersion-check", help="singular values of the holonomy differential")
-    add_common(p)
-    p.add_argument("--amplitude", type=float, default=None)
-
-    p = sub.add_parser("heat-kernel-check", help="heat kernel vs wrapped-Gaussian and mass oracles")
-    add_common(p)
-
-    p = sub.add_parser("casimir-check", help="finite-difference Casimir oracle, labels <= 4")
-    add_common(p)
-
-    p = sub.add_parser("polar-check", help="polar decomposition round trips")
-    add_common(p)
-
-    p = sub.add_parser("gauge-check", help="holonomy invariance under based gauge maps")
-    add_common(p)
-    p.add_argument("--s", type=float, default=None)
-    p.add_argument("--trials", type=int, default=None)
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for key in command.keys:
+            option = OPTIONS[key]
+            # an absent flag parses to None and leaves the INI or builtin value
+            kwargs = {"dest": key, "default": None, "help": option.help}
+            if option.kind is bool:
+                kwargs.update(action="store_const", const=True)
+            elif isinstance(option.kind, tuple):
+                kwargs["choices"] = list(option.kind)
+            elif option.kind in (int, float):
+                kwargs["type"] = option.kind
+            p.add_argument(*option.flags, **kwargs)
 
     p = sub.add_parser("batch", help="run every experiment section of an INI file")
     p.add_argument("config_file")
@@ -596,7 +548,7 @@ def _run(command: str, cli_values: dict, section, output_stem: Optional[str] = N
     options = _resolve_options(command, cli_values, section)
     fmt = options.get("format") or "csv"
     started = time.perf_counter()
-    report = RUNNERS[command](options)
+    report = COMMANDS[command].run(options)
     report.elapsed_s = time.perf_counter() - started
     output = options.get("output")
     if output_stem and not output:
@@ -618,7 +570,7 @@ def _run_batch(config_file: str, output_dir: Optional[str]) -> int:
     for section in parser.sections():
         values = dict(parser.items(section))
         command = values.pop("command", section)
-        if command not in RUNNERS:
+        if command not in COMMANDS:
             raise ConfigError(f"section [{section}]: unknown command {command!r}")
         stem = os.path.join(output_dir, section) if output_dir else None
         worst = max(worst, _run(command, {}, values, stem))

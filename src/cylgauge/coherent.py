@@ -24,7 +24,6 @@ from .groups import (
     ComplexGroupElement,
     GroupElement,
     GroupKind,
-    PolarCoordinates,
     imaginary_radius,
     su2_euler_grid,
     _u1_grid,
@@ -55,10 +54,6 @@ class CoherentLabel:
             raise ValueError("hbar must be positive")
         if not math.isinf(self.s) and self.s <= self.hbar / 2.0:
             raise ValueError("finite s must exceed hbar/2")
-
-    @classmethod
-    def from_polar(cls, polar: PolarCoordinates, hbar: float, s: float = math.inf):
-        return cls(polar.reconstruct(), hbar, s)
 
     @property
     def group(self) -> GroupKind:

