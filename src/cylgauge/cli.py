@@ -38,8 +38,6 @@ from .groups import (
     GroupKind,
     exp_map,
     haar_integrate,
-    haar_sample,
-    identity as group_identity,
     polar_decompose,
 )
 from .reporting import Report, ReportRow
@@ -236,18 +234,11 @@ def run_gauge_check(o: dict) -> Report:
     rng = np.random.default_rng(o["seed"])
     n = o["links"]
     L = lattice.sample_connection(group, n, o["s"], rng)
-    h0 = np.asarray(lattice.holonomy(L).value)
-    worst = 0.0
-    for _ in range(o["trials"]):
-        elems = [group_identity(group)] + [haar_sample(group, rng) for _ in range(n - 1)]
-        gm = lattice.LatticeGaugeMap(group, tuple(elems))
-        h1 = np.asarray(lattice.gauge_transform(L, gm, level="link").holonomy().value)
-        worst = max(worst, float(np.max(np.abs(h1 - h0))))
+    worst = lattice.haar_gauge_drift(L, o["trials"], rng)
     rows = [ReportRow.deterministic("link_holonomy_drift", worst, 0.0, 1e-10)]
 
-    ratios = []
+    drifts = []
     for k in range(5):
-        drifts = []
         for m in (16, 32):
             Ls = lattice.smooth_connection(group, m, np.random.default_rng(o["seed"] + 600 + k))
             gm = lattice.smooth_gauge_map(group, m, np.random.default_rng(o["seed"] + 700 + k))
@@ -256,10 +247,14 @@ def run_gauge_check(o: dict) -> Report:
                 float(np.max(np.abs(np.asarray(lattice.holonomy(out).value)
                                     - np.asarray(lattice.holonomy(Ls).value))))
             )
-        ratios.append(drifts[1] / drifts[0])
-    rows.append(
-        ReportRow.deterministic("algebra_drift_halving_ratio", float(np.mean(ratios)), 0.5, 0.2)
-    )
+    if group is GroupKind.U1:
+        # abelian: the algebra-level action keeps the holonomy up to roundoff
+        rows.append(ReportRow.deterministic("algebra_holonomy_drift", max(drifts), 0.0, 1e-10))
+    else:
+        ratios = [fine / coarse for coarse, fine in zip(drifts[0::2], drifts[1::2])]
+        rows.append(
+            ReportRow.deterministic("algebra_drift_halving_ratio", float(np.mean(ratios)), 0.5, 0.2)
+        )
     return Report(
         command="gauge-check",
         params={"N": n, "s": o["s"], "group": group.value, "trials": o["trials"]},
@@ -396,7 +391,8 @@ OPTIONS = {
     "amplitude": Option(("--amplitude",), float, 1.0),
     "complex_base": Option(("--complex-base",), bool, False),
     "degree": Option(("--degree",), int, 8),
-    "c_limit": Option(("--c-limit",), bool, False),
+    "c_limit": Option(("--c-limit",), bool, False,
+                      "add the flat-limit rows; they deviate by about 0.74/s and pass for --s >= 75"),
     "trials": Option(("--trials",), int, 5),
     "quad_level": Option(("--quad-level",), int, 16),
     "s_list": Option(("--s-list",), list, [2.0, 8.0, 32.0], "comma-separated s values"),
@@ -473,8 +469,9 @@ def _resolve_options(command: str, cli_values: dict, config_section) -> dict:
     _require(options["links"] >= 2, "need at least 2 links")
     _require(options["n_max"] >= 0, "n_max must be >= 0")
     _require(options["workers"] >= 1, "workers must be >= 1")
-    if "samples" in COMMANDS[command].keys:
-        _require(int(options["samples"]) >= 1, "samples must be >= 1")
+    for key in ("samples", "trials"):
+        if key in COMMANDS[command].keys:
+            _require(int(options[key]) >= 1, f"{key} must be >= 1")
     return options
 
 

@@ -26,7 +26,14 @@ from .groups import (
     group_log,
     unembed_algebra,
 )
-from .lattice import LatticeConnection, LatticeGaugeMap, gauge_transform, holonomy
+from .lattice import (
+    LatticeConnection,
+    LatticeGaugeMap,
+    _conjugate,
+    gauge_transform,
+    holonomy,
+    ordered_products,
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,14 +74,9 @@ def gauge_transform_phase(pt: PhasePoint, gauge: LatticeGaugeMap) -> PhasePoint:
     new_a = gauge_transform(pt.a, gauge, level="algebra")
     group = pt.group
     if group is GroupKind.U1:
-        new_p = pt.p.copy()
-    else:
-        new_p = np.empty_like(pt.p)
-        for k in range(pt.n_sites):
-            g = gauge.element(k).value
-            rotated = g @ embed_algebra(group, pt.p[k]) @ g.conj().T
-            new_p[k] = unembed_algebra(group, rotated)
-    return PhasePoint(new_a, new_p)
+        return PhasePoint(new_a, pt.p.copy())
+    g = np.array([e.value for e in gauge.elements])
+    return PhasePoint(new_a, unembed_algebra(group, _conjugate(g, embed_algebra(group, pt.p))))
 
 
 def partial_holonomies(L: LatticeConnection) -> list:
@@ -84,10 +86,7 @@ def partial_holonomies(L: LatticeConnection) -> list:
         acc = np.concatenate([[0.0], np.cumsum(L.values[:, 0])]) / n
         return [GroupElement(group, np.exp(1j * a)) for a in acc[:n]]
     steps = expm_traceless(embed_algebra(group, L.values / n))
-    mats = [np.eye(2, dtype=complex)]
-    for k in range(n - 1):
-        mats.append(steps[k] @ mats[-1])
-    return [GroupElement(group, m) for m in mats]
+    return [GroupElement(group, m) for m in ordered_products(steps[:-1])]
 
 
 def make_constrained_pair(L: LatticeConnection, x0: AlgebraVector) -> PhasePoint:
@@ -101,12 +100,8 @@ def make_constrained_pair(L: LatticeConnection, x0: AlgebraVector) -> PhasePoint
     group, n = L.group, L.n_sites
     if group is GroupKind.U1:
         return PhasePoint(L, np.tile(x0.coords, (n, 1)))
-    transports = partial_holonomies(L)
-    x_mat = x0.embed()
-    p = np.empty_like(L.values)
-    for k, t_k in enumerate(transports):
-        p[k] = unembed_algebra(group, t_k.value @ x_mat @ t_k.value.conj().T)
-    return PhasePoint(L, p)
+    transports = np.array([t_k.value for t_k in partial_holonomies(L)])
+    return PhasePoint(L, unembed_algebra(group, _conjugate(transports, x0.embed())))
 
 
 def covariant_residual(pt: PhasePoint) -> float:
@@ -114,13 +109,9 @@ def covariant_residual(pt: PhasePoint) -> float:
     group, n = pt.group, pt.n_sites
     if group is GroupKind.U1:
         return float(n * np.max(np.abs(np.diff(pt.p[:, 0]))))
-    steps = expm_traceless(embed_algebra(group, pt.a.values / n))
-    worst = 0.0
-    for k in range(n - 1):
-        transported = steps[k] @ embed_algebra(group, pt.p[k]) @ steps[k].conj().T
-        diff = pt.p[k + 1] - unembed_algebra(group, transported)
-        worst = max(worst, float(n * np.linalg.norm(diff)))
-    return worst
+    steps = expm_traceless(embed_algebra(group, pt.a.values[:-1] / n))
+    diff = pt.p[1:] - unembed_algebra(group, _conjugate(steps, embed_algebra(group, pt.p[:-1])))
+    return float(n * np.max(np.linalg.norm(diff, axis=1)))
 
 
 def effective_velocity(pt: PhasePoint, eps: float = 1e-5) -> AlgebraVector:

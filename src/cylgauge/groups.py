@@ -135,12 +135,20 @@ def unembed_algebra(group: GroupKind, matrix) -> np.ndarray:
 
 
 def _project_unitary(value, group: GroupKind):
+    """Nearest group value; SU2 input may be stacked (..., 2, 2)."""
     if group is GroupKind.U1:
         return value / abs(value)
     u, _, vh = np.linalg.svd(value)
     p = u @ vh
-    d = p[0, 0] * p[1, 1] - p[0, 1] * p[1, 0]
-    return p / np.sqrt(d)
+    if p.ndim == 2:
+        return p / np.sqrt(p[0, 0] * p[1, 1] - p[0, 1] * p[1, 0])
+    # stacked: det from real parts, as the scalar complex multiply above forms
+    # it (numpy's array complex multiply may round differently)
+    a, b, c, d = p[..., 0, 0], p[..., 0, 1], p[..., 1, 0], p[..., 1, 1]
+    det = np.empty(a.shape, dtype=complex)
+    det.real = (a.real * d.real - a.imag * d.imag) - (b.real * c.real - b.imag * c.imag)
+    det.imag = (a.real * d.imag + a.imag * d.real) - (b.real * c.imag + b.imag * c.real)
+    return p / np.sqrt(det)[..., None, None]
 
 
 def _det2(m) -> complex:
@@ -251,6 +259,30 @@ class GroupElement(ComplexGroupElement):
 
     __slots__ = ()
     _unitary = True
+
+
+def validate_values(group: GroupKind, values: np.ndarray) -> np.ndarray:
+    """GroupElement's checks, with its tolerance and messages, over a stack
+    of K values: (...,) for U1, (..., 2, 2) for SU2.  Returns values."""
+    tol = GroupElement._validate_tol
+    if group is GroupKind.U1:
+        if not np.all(np.isfinite(values) & (values != 0)):
+            raise ValueError("U(1)-side elements must be finite and nonzero")
+        defect = np.abs(np.abs(values) - 1.0)
+    else:
+        if not np.all(np.isfinite(values)):
+            raise ValueError("matrix entries must be finite")
+        a, b, c, d = values[..., 0, 0], values[..., 0, 1], values[..., 1, 0], values[..., 1, 1]
+        scale = np.maximum(1.0, np.max(np.abs(values), axis=(-2, -1)) ** 2)
+        if np.any(np.abs(a * d - b * c - 1.0) > tol * scale):
+            raise ValueError("SL(2,C) elements must have determinant 1")
+        sq = values.real**2 + values.imag**2
+        col0, col1 = sq[..., 0, 0] + sq[..., 1, 0], sq[..., 0, 1] + sq[..., 1, 1]
+        off = np.abs(a.conj() * b + c.conj() * d)
+        defect = np.maximum(np.maximum(np.abs(col0 - 1.0), np.abs(col1 - 1.0)), off)
+    if np.any(defect > tol):
+        raise ValueError("group element is not unitary")
+    return values
 
 
 def identity(group: GroupKind) -> GroupElement:
@@ -383,6 +415,18 @@ def haar_sample(group: GroupKind, rng: np.random.Generator) -> GroupElement:
         theta = rng.uniform(0.0, 2.0 * math.pi)
         return GroupElement(group, complex(math.cos(theta), math.sin(theta)))
     return GroupElement(group, _su2_sample_batch(rng, 1)[0])
+
+
+def haar_sample_batch(group: GroupKind, rng: np.random.Generator, n: int) -> np.ndarray:
+    """n Haar draws as validated values, (n,) for U1 or (n, 2, 2) for SU2:
+    the rng stream and the values of n calls of haar_sample."""
+    if group is GroupKind.U1:
+        theta = rng.uniform(0.0, 2.0 * math.pi, size=n)
+        values = np.empty(n, dtype=complex)
+        values.real, values.imag = np.cos(theta), np.sin(theta)
+    else:
+        values = _su2_sample_batch(rng, n)
+    return validate_values(group, values)
 
 
 def _su2_sample_batch(rng: np.random.Generator, n: int) -> np.ndarray:

@@ -28,8 +28,10 @@ from .groups import (
     embed_algebra,
     expm_traceless,
     group_log,
+    haar_sample_batch,
     identity,
     unembed_algebra,
+    validate_values,
     _project_unitary,
 )
 from .montecarlo import MCEstimate, chunked_mc_vector
@@ -144,15 +146,31 @@ class LinkConfiguration:
         return self.links.shape[0]
 
     def holonomy(self) -> GroupElement:
-        if self.group is GroupKind.U1:
-            return GroupElement(self.group, complex(np.prod(self.links)))
-        h = np.eye(2, dtype=complex)
-        for k in range(self.n_sites):
-            h = self.links[k] @ h
-        return GroupElement(self.group, _project_unitary(h, self.group))
+        return GroupElement(self.group, link_holonomy_values(self.group, self.links))
 
     def link(self, k: int) -> GroupElement:
         return GroupElement(self.group, self.links[k])
+
+
+def ordered_products(links: np.ndarray) -> list:
+    """Prefix products [P_0, ..., P_N], P_0 = I and P_{k+1} = U_k P_k, of
+    stacked SU2 links (..., N, 2, 2); P_N is the holonomy.
+
+    Each P_k with k >= 1 is (..., 2, 2) and comes from one stacked matmul,
+    which rounds exactly as the 2x2 one.
+    """
+    prods = [np.eye(2, dtype=complex)]
+    for step in links.swapaxes(0, -3):  # site axis first
+        prods.append(step @ prods[-1])
+    return prods
+
+
+def link_holonomy_values(group: GroupKind, links: np.ndarray) -> np.ndarray:
+    """Holonomy U_{N-1} ... U_0 of stacked links, (..., N) for U1 or
+    (..., N, 2, 2) for SU2; SU2 products are projected onto the group."""
+    if group is GroupKind.U1:
+        return np.prod(links, axis=-1)
+    return _project_unitary(ordered_products(links)[-1], group)
 
 
 # ---------------------------------------------------------------------------
@@ -167,6 +185,9 @@ class LinkConfiguration:
 # Operation and operand order are fixed (numpy's complex a b and b a may
 # round differently), so the bits do not depend on batch size or layout.
 # ---------------------------------------------------------------------------
+
+
+BLOCK = 1024  # configurations per block of stacked work: a block's arrays stay in cache
 
 
 def _su2_steps(coords: np.ndarray, real: bool) -> list:
@@ -208,9 +229,9 @@ def _quat_mul(q1: list, q2: list, real: bool, w_only: bool) -> list:
 def _holonomy_quats(coords: np.ndarray, w_only: bool = False) -> list:
     """Ordered products q[N-1] ... q[0] as [w, x, y, z] of shape (B,), or
     [w] alone when w_only."""
-    if len(coords) > 1024:  # blocks of 1024 configurations keep a level's arrays in cache
-        starts = range(0, len(coords), 1024)
-        blocks = [_holonomy_quats(coords[lo:lo + 1024], w_only) for lo in starts]
+    if len(coords) > BLOCK:
+        starts = range(0, len(coords), BLOCK)
+        blocks = [_holonomy_quats(coords[lo:lo + BLOCK], w_only) for lo in starts]
         return [np.concatenate(parts) for parts in zip(*blocks)]
     real = not np.iscomplexobj(coords)
     q = _su2_steps(coords, real)
@@ -329,31 +350,54 @@ def gauge_transform(
     n = L.n_sites
     if level == "link":
         cfg = links_of(L) if isinstance(L, LatticeConnection) else L
-        if group is GroupKind.U1:
-            g = np.array([e.value for e in gauge.elements], dtype=complex)
-            g_next = np.roll(g, -1)
-            return LinkConfiguration(group, g_next * cfg.links / g)
-        new_links = np.empty_like(cfg.links)
-        for k in range(n):
-            gk = gauge.element(k).value
-            gk1 = gauge.element(k + 1).value
-            new_links[k] = gk1 @ cfg.links[k] @ gk.conj().T
-        return LinkConfiguration(group, new_links)
+        g = np.array([e.value for e in gauge.elements], dtype=complex)
+        return LinkConfiguration(group, gauge_links(group, g, cfg.links))
     if level != "algebra":
         raise ValueError(f"unknown gauge level {level!r}")
     if not isinstance(L, LatticeConnection):
         raise ValueError("algebra-level action applies to LatticeConnection")
-    new_values = np.empty_like(L.values)
-    for k in range(n):
-        gk = gauge.element(k)
-        gk1 = gauge.element(k + 1)
-        translation = n * group_log(gk1 * gk.inverse()).coords
-        if group is GroupKind.U1:
-            new_values[k] = L.values[k] + translation
-        else:
-            rotated = gk.value @ embed_algebra(group, L.values[k]) @ gk.value.conj().T
-            new_values[k] = unembed_algebra(group, rotated) + translation
-    return LatticeConnection(group, new_values)
+    g = gauge.elements + gauge.elements[:1]  # g_N = g_0
+    translation = n * np.array([group_log(g[k + 1] * g[k].inverse()).coords for k in range(n)])
+    if group is GroupKind.U1:
+        return LatticeConnection(group, L.values + translation)
+    values = np.array([e.value for e in gauge.elements])
+    rotated = unembed_algebra(group, _conjugate(values, embed_algebra(group, L.values)))
+    return LatticeConnection(group, rotated + translation)
+
+
+def _conjugate(g: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """g_k x_k g_k^{-1} for stacked SU2 matrices (..., 2, 2)."""
+    return g @ x @ g.conj().swapaxes(-1, -2)
+
+
+def gauge_links(group: GroupKind, g: np.ndarray, links: np.ndarray) -> np.ndarray:
+    """U_k -> g_{k+1} U_k g_k^{-1} for stacked gauge values g of shape
+    (..., N) for U1 or (..., N, 2, 2) for SU2, with g_N = g_0; links
+    broadcast against g.  The caller guarantees g_0 = e."""
+    if group is GroupKind.U1:
+        return np.roll(g, -1, axis=-1) * links / g
+    return np.roll(g, -1, axis=-3) @ links @ g.conj().swapaxes(-1, -2)
+
+
+def haar_gauge_drift(L: LatticeConnection, trials: int, rng: np.random.Generator) -> float:
+    """Largest entry of |h(g.U) - h(L)| over `trials` based gauge maps g with
+    Haar-random g_1 .. g_{N-1}, acting on the links U of L.
+
+    The trials run in blocks of BLOCK: one Haar draw, one stacked gauge action
+    and one ordered product each, consuming rng as one trial at a time would.
+    """
+    group, n = L.group, L.n_sites
+    h0 = np.asarray(holonomy(L).value)
+    links = links_of(L).links
+    e = identity(group).value
+    worst = 0.0
+    for start in range(0, trials, BLOCK):
+        m = min(BLOCK, trials - start)
+        draws = haar_sample_batch(group, rng, m * (n - 1)).reshape((m, n - 1) + np.shape(e))
+        g = np.concatenate([np.broadcast_to(e, (m, 1) + np.shape(e)), draws], axis=1)
+        h1 = validate_values(group, link_holonomy_values(group, gauge_links(group, g, links)))
+        worst = max(worst, float(np.max(np.abs(h1 - h0))))
+    return worst
 
 
 def gauge_map_between(a: LinkConfiguration, b: LinkConfiguration) -> LatticeGaugeMap:
@@ -585,11 +629,8 @@ def smooth_gauge_map(
     f = np.zeros((n_sites, group.algebra_dim))
     for m in range(n_modes):
         f += np.sin(2.0 * math.pi * (m + 1) * tau)[:, None] * coeffs[m]
-    elems = []
-    for k in range(n_sites):
-        if group is GroupKind.U1:
-            elems.append(GroupElement(group, np.exp(1j * f[k, 0])))
-        else:
-            mat = expm_traceless(embed_algebra(group, f[k]))
-            elems.append(GroupElement(group, _project_unitary(mat, group)))
-    return LatticeGaugeMap(group, tuple(elems))
+    if group is GroupKind.U1:
+        values = np.exp(1j * f[:, 0])
+    else:
+        values = _project_unitary(expm_traceless(embed_algebra(group, f)), group)
+    return LatticeGaugeMap(group, tuple(GroupElement(group, v) for v in values))

@@ -122,6 +122,12 @@ class TestConfigHandling:
         self.assert_config_error(capsys, "workers must be >= 1",
                                  "pushforward", "--workers", "-3", "--samples", "100", "--seed", "1")
 
+    @pytest.mark.parametrize("command", ["gauge-check", "coherent-overlap"])
+    @pytest.mark.parametrize("trials", ["0", "-5"])
+    def test_trials_below_one_exit_2(self, capsys, command, trials):
+        self.assert_config_error(capsys, "trials must be >= 1",
+                                 command, "--trials", trials, "--seed", "1")
+
     def test_config_file_defaults_and_flag_override(self, capsys, tmp_path):
         cfg = tmp_path / "exp.ini"
         cfg.write_text(
@@ -290,6 +296,24 @@ class TestOtherCommands:
         )
         assert code == EXIT_OK
         assert "algebra_drift_halving_ratio" in out
+
+    @pytest.mark.parametrize("seed", ["1", "2", "3"])
+    def test_gauge_check_u1(self, capsys, seed):
+        code, out, _ = run_cli(
+            capsys, "gauge-check", "--group", "u1", "--links", "16",
+            "--trials", "50", "--seed", seed,
+        )
+        assert code == EXIT_OK
+        quantities = [line.split(",")[0] for line in out.strip().splitlines()[1:]]
+        assert quantities == ["link_holonomy_drift", "algebra_holonomy_drift"]
+
+    @pytest.mark.parametrize("s, expected", [("75", EXIT_OK), ("74", EXIT_NUMERICAL)])
+    def test_euclid_unitarity_c_limit_range(self, capsys, s, expected):
+        # the flat-limit rows deviate by about 0.74/s against a 1e-2 tolerance;
+        # s = 75 is the smallest integer the --c-limit help text promises
+        code, out, _ = run_cli(capsys, "euclid-unitarity", "--c-limit", "--s", s)
+        assert code == expected
+        assert "flat_limit_range" in out
 
     def test_euclid_unitarity_includes_gaussian_row(self, capsys):
         code, out, _ = run_cli(

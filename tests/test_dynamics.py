@@ -120,6 +120,21 @@ class TestConstrainedPairs:
         full = last_step @ transports[-1].value
         assert np.max(np.abs(full - holonomy(L).value)) < 1e-12
 
+    def test_partial_holonomies_match_link_loop(self):
+        from cylgauge.groups import expm_traceless, embed_algebra
+
+        rng = np.random.default_rng(10)
+        for n in (2, 3, 16, 33):
+            L = sample_connection(SU2, n, 2.0, rng)
+            steps = expm_traceless(embed_algebra(SU2, L.values / n))
+            mats = [np.eye(2, dtype=complex)]
+            for k in range(n - 1):
+                mats.append(steps[k] @ mats[-1])
+            transports = partial_holonomies(L)
+            assert len(transports) == n
+            for t_k, m in zip(transports, mats):
+                assert np.array_equal(t_k.value, m)
+
 
 class TestGeodesicReduction:
     def test_u1_exact(self):

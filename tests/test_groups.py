@@ -18,6 +18,7 @@ from cylgauge.groups import (
     identity,
     polar_decompose,
     zero_vector,
+    _project_unitary,
 )
 from cylgauge.spectral import character
 
@@ -158,6 +159,23 @@ class TestProducts:
     def test_mixed_groups_rejected(self):
         with pytest.raises(ValueError):
             identity(U1) * identity(SU2)
+
+    def test_stacked_projection_matches_scalar_formula(self):
+        # the 2x2 projection as it was before it took stacked input: det by
+        # numpy's scalar complex multiply
+        def scalar_projection(value):
+            u, _, vh = np.linalg.svd(value)
+            p = u @ vh
+            return p / np.sqrt(p[0, 0] * p[1, 1] - p[0, 1] * p[1, 0])
+
+        rng = np.random.default_rng(6)
+        values = rng.normal(size=(3000, 2, 2)) + 1j * rng.normal(size=(3000, 2, 2))
+        values[:1000] = np.eye(2) + 1e-9 * values[:1000]  # near the group, as in long products
+        stacked = _project_unitary(values, SU2)
+        for value, projected in zip(values, stacked):
+            expected = scalar_projection(value)
+            assert np.array_equal(_project_unitary(value, SU2), expected)
+            assert np.array_equal(projected, expected)
 
 
 def numpy_unitarity_defect(m):

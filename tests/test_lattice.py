@@ -3,13 +3,16 @@ import math
 import numpy as np
 import pytest
 
+from cylgauge import cli, groups
 from cylgauge.groups import (
     AlgebraVector,
     ComplexGroupElement,
     GroupKind,
     exp_map,
     haar_sample,
+    haar_sample_batch,
     identity,
+    validate_values,
 )
 from cylgauge.lattice import (
     ComplexLatticeConnection,
@@ -21,10 +24,13 @@ from cylgauge.lattice import (
     gauge_map_between,
     closure_defect,
     gauge_transform,
+    haar_gauge_drift,
     holonomy,
     holonomy_batch,
     holonomy_traces,
+    link_holonomy_values,
     links_of,
+    ordered_products,
     pushforward_moment,
     sample_complex_connection,
     sample_connection,
@@ -224,6 +230,155 @@ class TestGaugeAction:
         b = links_of(sample_connection(SU2, 10, 1.0, rng))
         gm = gauge_map_between(a, b)
         assert closure_defect(gm, a, b) > 1e-3
+
+
+def old_project_unitary(value):
+    u, _, vh = np.linalg.svd(value)
+    p = u @ vh
+    return p / np.sqrt(p[0, 0] * p[1, 1] - p[0, 1] * p[1, 0])
+
+
+def old_link_holonomy(group, links):
+    """The per-link loop that stacked ordered products replace."""
+    if group is U1:
+        return complex(np.prod(links))
+    h = np.eye(2, dtype=complex)
+    for k in range(len(links)):
+        h = links[k] @ h
+    return old_project_unitary(h)
+
+
+def old_gauge_links(group, g, links):
+    """The per-site loop that the stacked link gauge action replaces, for
+    gauge values g with g[0] = e."""
+    if group is U1:
+        return np.roll(g, -1) * links / g
+    out = np.empty_like(links)
+    for k in range(len(links)):
+        gk, gk1 = g[k], g[(k + 1) % len(g)]
+        out[k] = gk1 @ links[k] @ gk.conj().T
+    return out
+
+
+def trial_loop_drifts(group, n, seed, checkpoints):
+    """haar_gauge_drift one trial and one site at a time: the running worst
+    drift after each trial count in checkpoints (each count's rng stream is
+    a prefix of the next one's)."""
+    rng = np.random.default_rng(seed)
+    L = sample_connection(group, n, 1.0, rng)
+    h0 = np.asarray(holonomy(L).value)
+    links = links_of(L).links
+    # haar_sample_batch is the stream of haar_sample calls (tested below)
+    draws = haar_sample_batch(group, rng, max(checkpoints) * (n - 1))
+    worst, drifts = 0.0, []
+    for trial in range(1, max(checkpoints) + 1):
+        g = np.concatenate([[identity(group).value], draws[(trial - 1) * (n - 1):trial * (n - 1)]])
+        h1 = np.asarray(old_link_holonomy(group, old_gauge_links(group, g, links)))
+        worst = max(worst, float(np.max(np.abs(h1 - h0))))
+        if trial in checkpoints:
+            drifts.append(worst)
+    return drifts
+
+
+class TestStackedLinkPath:
+    @pytest.mark.parametrize("group", [U1, SU2])
+    def test_haar_gauge_drift_matches_trial_loop(self, group):
+        # hex equality on seeds 1-20; 1500 trials cross a block boundary
+        checkpoints = (1, 7, 1024, 1500)
+        for seed in range(1, 21):
+            expected = trial_loop_drifts(group, 16, seed, checkpoints)
+            for trials, drift in zip(checkpoints, expected):
+                rng = np.random.default_rng(seed)
+                L = sample_connection(group, 16, 1.0, rng)
+                assert haar_gauge_drift(L, trials, rng).hex() == drift.hex(), (seed, trials)
+
+    def test_gauge_check_reports_haar_gauge_drift(self):
+        rng = np.random.default_rng(2)
+        L = sample_connection(SU2, 16, 1.0, rng)
+        o = {"group": "su2", "links": 16, "s": 1.0, "trials": 30, "seed": 2}
+        assert cli.run_gauge_check(o).rows[0].estimate.real == haar_gauge_drift(L, 30, rng)
+
+    @pytest.mark.parametrize("group", [U1, SU2])
+    def test_gauge_transform_matches_site_loop(self, group):
+        rng = np.random.default_rng(17)
+        for n in (2, 5, 16):
+            cfg = links_of(sample_connection(group, n, 1.0, rng))
+            gm = random_based_map(group, n, rng)
+            stacked = gauge_transform(cfg, gm, level="link").links
+            g = np.array([e.value for e in gm.elements], dtype=complex)
+            assert np.array_equal(stacked, old_gauge_links(group, g, cfg.links))
+
+    @pytest.mark.parametrize("group", [U1, SU2])
+    def test_link_holonomy_matches_link_loop(self, group):
+        rng = np.random.default_rng(18)
+        for n in (2, 3, 16, 64):
+            cfg = links_of(sample_connection(group, n, 2.0, rng))
+            value = np.asarray(cfg.holonomy().value)
+            assert np.array_equal(value, old_link_holonomy(group, cfg.links))
+
+    def test_stacked_products_match_single_configurations(self):
+        rng = np.random.default_rng(19)
+        links = haar_sample_batch(SU2, rng, 40 * 9).reshape(40, 9, 2, 2)
+        stacked = ordered_products(links)
+        holonomies = link_holonomy_values(SU2, links)
+        for b in range(40):
+            single = ordered_products(links[b])
+            assert len(stacked) == len(single) == 10
+            for p_stacked, p_single in zip(stacked[1:], single[1:]):
+                assert np.array_equal(p_stacked[b], p_single)
+            assert np.array_equal(holonomies[b], old_link_holonomy(SU2, links[b]))
+
+    @pytest.mark.parametrize("group", [U1, SU2])
+    def test_haar_batch_is_the_haar_sample_stream(self, group):
+        a, b = np.random.default_rng(20), np.random.default_rng(20)
+        batch = haar_sample_batch(group, a, 300)
+        single = np.array([haar_sample(group, b).value for _ in range(300)])
+        assert np.array_equal(batch, single)
+        assert a.uniform() == b.uniform()
+
+    def test_corrupted_haar_draw_raises(self, monkeypatch):
+        real = groups._su2_sample_batch
+
+        def corrupted(rng, n):
+            out = real(rng, n)
+            out[n // 2] *= 1.0 + 1e-6
+            return out
+
+        monkeypatch.setattr(groups, "_su2_sample_batch", corrupted)
+        rng = np.random.default_rng(1)
+        L = sample_connection(SU2, 8, 1.0, rng)
+        with pytest.raises(ValueError, match="determinant 1"):
+            haar_gauge_drift(L, 30, rng)
+
+    @pytest.mark.parametrize("group", [U1, SU2])
+    def test_validate_values_keeps_element_checks(self, group):
+        rng = np.random.default_rng(22)
+        values = haar_sample_batch(group, rng, 50)
+        assert validate_values(group, values) is values
+        messages = ["finite", "not unitary"]
+        if group is SU2:
+            messages = ["finite", "determinant 1", "not unitary"]
+        for message in messages:
+            bad = values.copy()
+            if message == "finite":
+                bad[17] *= np.nan
+            elif message == "determinant 1":
+                bad[17] *= 1.0 + 1e-6
+            elif group is U1:
+                bad[17] *= 1.0 + 1e-6
+            else:
+                bad[17] = bad[17] @ np.diag([1.0 + 1e-6, 1.0 / (1.0 + 1e-6)])
+            with pytest.raises(ValueError, match=message):
+                validate_values(group, bad)
+            with pytest.raises(ValueError, match=message):
+                groups.GroupElement(group, bad[17])
+
+    @pytest.mark.parametrize("group", [U1, SU2])
+    def test_unbased_gauge_map_raises(self, group):
+        rng = np.random.default_rng(21)
+        elems = (haar_sample(group, rng),) + random_based_map(group, 6, rng).elements[1:]
+        with pytest.raises(ValueError, match="based"):
+            LatticeGaugeMap(group, elems)
 
 
 class TestPushforward:
