@@ -153,11 +153,12 @@ class LinkConfiguration:
 
 
 def ordered_products(links: np.ndarray) -> list:
-    """Prefix products [P_0, ..., P_N], P_0 = I and P_{k+1} = U_k P_k, of
-    stacked SU2 links (..., N, 2, 2); P_N is the holonomy.
+    """Prefix products [P_0, ..., P_N], P_0 = I and P_{k+1} = U_k P_k, of SU2
+    links (N, 2, 2) or of B stacked configurations (B, N, 2, 2); P_N is the
+    holonomy.
 
-    Each P_k with k >= 1 is (..., 2, 2) and comes from one stacked matmul,
-    which rounds exactly as the 2x2 one.
+    Each P_k with k >= 1 is (2, 2) or (B, 2, 2) and comes from one stacked
+    matmul, which rounds exactly as the 2x2 one.
     """
     prods = [np.eye(2, dtype=complex)]
     for step in links.swapaxes(0, -3):  # site axis first
@@ -166,8 +167,9 @@ def ordered_products(links: np.ndarray) -> list:
 
 
 def link_holonomy_values(group: GroupKind, links: np.ndarray) -> np.ndarray:
-    """Holonomy U_{N-1} ... U_0 of stacked links, (..., N) for U1 or
-    (..., N, 2, 2) for SU2; SU2 products are projected onto the group."""
+    """Holonomy U_{N-1} ... U_0 of links (N,) for U1 or (N, 2, 2) for SU2,
+    or of B stacked configurations (B, N[, 2, 2]); SU2 products are
+    projected onto the group."""
     if group is GroupKind.U1:
         return np.prod(links, axis=-1)
     return _project_unitary(ordered_products(links)[-1], group)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cylgauge import cli, groups
+from cylgauge import cli, groups, lattice
 from cylgauge.groups import (
     AlgebraVector,
     ComplexGroupElement,
@@ -349,6 +349,14 @@ class TestStackedLinkPath:
         L = sample_connection(SU2, 8, 1.0, rng)
         with pytest.raises(ValueError, match="determinant 1"):
             haar_gauge_drift(L, 30, rng)
+
+    def test_corrupted_holonomy_raises(self, monkeypatch):
+        real = lattice.link_holonomy_values
+        monkeypatch.setattr(lattice, "link_holonomy_values", lambda g, links: 2.0 * real(g, links))
+        rng = np.random.default_rng(1)
+        L = sample_connection(SU2, 8, 1.0, rng)
+        with pytest.raises(ValueError, match="not unitary|determinant 1"):
+            haar_gauge_drift(L, 3, rng)
 
     @pytest.mark.parametrize("group", [U1, SU2])
     def test_validate_values_keeps_element_checks(self, group):
