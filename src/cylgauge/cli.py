@@ -392,7 +392,8 @@ OPTIONS = {
     "complex_base": Option(("--complex-base",), bool, False),
     "degree": Option(("--degree",), int, 8),
     "c_limit": Option(("--c-limit",), bool, False,
-                      "add the flat-limit rows; they deviate by about 0.74/s and pass for --s >= 75"),
+                      "add the flat-limit rows; they deviate by about 0.74/s and pass for --s >= 75 "
+                      "and --hbar <= 1.98 (above it the transform outruns its quadrature nodes)"),
     "trials": Option(("--trials",), int, 5),
     "quad_level": Option(("--quad-level",), int, 16),
     "s_list": Option(("--s-list",), list, [2.0, 8.0, 32.0], "comma-separated s values"),

@@ -185,6 +185,7 @@ class ComplexGroupElement:
         if self.group is GroupKind.U1:
             if self.value == 0 or not cmath.isfinite(self.value):
                 raise ValueError("U(1)-side elements must be finite and nonzero")
+            defect = abs(abs(self.value) - 1.0) if self._unitary else 0.0
         else:
             # Python complexes: numpy's per-call overhead on 2x2 arrays would
             # dominate every product
@@ -195,7 +196,8 @@ class ComplexGroupElement:
             scale = max(1.0, max(abs(a), abs(b), abs(c), abs(d)) ** 2)
             if abs(a * d - b * c - 1.0) > self._validate_tol * scale:
                 raise ValueError("SL(2,C) elements must have determinant 1")
-        if self._unitary and self.unitarity_defect() > self._validate_tol:
+            defect = _su2_unitarity_defect(a, b, c, d) if self._unitary else 0.0
+        if defect > self._validate_tol:
             raise ValueError("group element is not unitary")
 
     def det(self) -> complex:
@@ -211,11 +213,8 @@ class ComplexGroupElement:
     def unitarity_defect(self) -> float:
         if self.group is GroupKind.U1:
             return abs(abs(self.value) - 1.0)
-        # largest entry of |V* V - I|; the off-diagonal pair are conjugates
         (a, b), (c, d) = self.value.tolist()
-        col0 = a.real * a.real + a.imag * a.imag + c.real * c.real + c.imag * c.imag
-        col1 = b.real * b.real + b.imag * b.imag + d.real * d.real + d.imag * d.imag
-        return max(abs(col0 - 1.0), abs(col1 - 1.0), abs(a.conjugate() * b + c.conjugate() * d))
+        return _su2_unitarity_defect(a, b, c, d)
 
     def inverse(self) -> "ComplexGroupElement":
         if self.group is GroupKind.U1:
@@ -237,7 +236,7 @@ class ComplexGroupElement:
         if self.group is GroupKind.U1:
             value = self.value * other.value
         else:
-            value = self.value @ other.value
+            value = self.value.dot(other.value)  # cheaper than @ on 2x2, same bits
         staleness = self._staleness + other._staleness + 1
         if staleness >= REPROJECT_EVERY:
             if cls is GroupElement:
@@ -252,6 +251,14 @@ class ComplexGroupElement:
 
     def __repr__(self):
         return f"{type(self).__name__}({self.group.value}, {self.value!r})"
+
+
+def _su2_unitarity_defect(a: complex, b: complex, c: complex, d: complex) -> float:
+    """Largest entry of |V* V - I| for V = [[a, b], [c, d]]; the
+    off-diagonal pair are conjugates."""
+    col0 = a.real * a.real + a.imag * a.imag + c.real * c.real + c.imag * c.imag
+    col1 = b.real * b.real + b.imag * b.imag + d.real * d.real + d.imag * d.imag
+    return max(abs(col0 - 1.0), abs(col1 - 1.0), abs(a.conjugate() * b + c.conjugate() * d))
 
 
 class GroupElement(ComplexGroupElement):
@@ -283,6 +290,15 @@ def validate_values(group: GroupKind, values: np.ndarray) -> np.ndarray:
     if np.any(defect > tol):
         raise ValueError("group element is not unitary")
     return values
+
+
+def _elements(group: GroupKind, values: np.ndarray):
+    """GroupElements over the rows of a stack that validate_values has
+    passed, without checking each row again."""
+    for value in values.tolist() if group is GroupKind.U1 else values:
+        g = GroupElement.__new__(GroupElement)
+        g.group, g.value, g._staleness = group, value, 0
+        yield g
 
 
 def identity(group: GroupKind) -> GroupElement:
@@ -493,19 +509,17 @@ class QuadratureResult:
 def _haar_quadrature(group: GroupKind, f, level: int, class_function: bool) -> complex:
     if group is GroupKind.U1:
         values, weights = _u1_grid(level)
-        total = sum(w * f(GroupElement(group, v)) for v, w in zip(values, weights))
-        return complex(total)
+        nodes = _elements(group, validate_values(group, values))
+        return complex(sum(w * f(g) for g, w in zip(nodes, weights)))
     if class_function:
         thetas, weights = su2_weyl_grid(level)
-        total = 0.0 + 0.0j
-        for t, w in zip(thetas, weights):
-            g = GroupElement(group, np.diag([np.exp(1j * t), np.exp(-1j * t)]))
-            total += w * f(g)
-        return complex(total)
-    mats, weights = su2_euler_grid(level)
+        values = np.zeros((thetas.size, 2, 2), dtype=complex)
+        values[:, 0, 0], values[:, 1, 1] = np.exp(1j * thetas), np.exp(-1j * thetas)
+    else:
+        values, weights = su2_euler_grid(level)
     total = 0.0 + 0.0j
-    for m, w in zip(mats, weights):
-        total += w * f(GroupElement(group, m))
+    for g, w in zip(_elements(group, validate_values(group, values)), weights):
+        total += w * f(g)
     return complex(total)
 
 
@@ -545,11 +559,11 @@ def haar_integrate(
 
         def sampler(rng: np.random.Generator, m: int) -> np.ndarray:
             if group is GroupKind.U1:
-                angles = rng.uniform(0.0, 2.0 * math.pi, size=m)
-                elems = np.exp(1j * angles)
-                return np.array([f(GroupElement(group, z)) for z in elems], dtype=complex)
-            mats = _su2_sample_batch(rng, m)
-            return np.array([f(GroupElement(group, u)) for u in mats], dtype=complex)
+                values = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, size=m))
+            else:
+                values = _su2_sample_batch(rng, m)
+            nodes = _elements(group, validate_values(group, values))
+            return np.array([f(g) for g in nodes], dtype=complex)
 
         return chunked_mc(sampler, n_samples, seed)
     raise ValueError(f"unknown integration method {method!r}")

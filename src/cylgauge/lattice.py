@@ -385,16 +385,18 @@ def haar_gauge_drift(L: LatticeConnection, trials: int, rng: np.random.Generator
     """Largest entry of |h(g.U) - h(L)| over `trials` based gauge maps g with
     Haar-random g_1 .. g_{N-1}, acting on the links U of L.
 
-    The trials run in blocks of BLOCK: one Haar draw, one stacked gauge action
-    and one ordered product each, consuming rng as one trial at a time would.
+    The trials run in blocks of about 16 * BLOCK site elements, so memory
+    stays flat in N: one Haar draw, one stacked gauge action and one ordered
+    product each, consuming rng as one trial at a time would.
     """
     group, n = L.group, L.n_sites
     h0 = np.asarray(holonomy(L).value)
     links = links_of(L).links
     e = identity(group).value
+    block = max(1, BLOCK * 16 // n)
     worst = 0.0
-    for start in range(0, trials, BLOCK):
-        m = min(BLOCK, trials - start)
+    for start in range(0, trials, block):
+        m = min(block, trials - start)
         draws = haar_sample_batch(group, rng, m * (n - 1)).reshape((m, n - 1) + np.shape(e))
         g = np.concatenate([np.broadcast_to(e, (m, 1) + np.shape(e)), draws], axis=1)
         h1 = validate_values(group, link_holonomy_values(group, gauge_links(group, g, links)))

@@ -27,7 +27,9 @@ from .groups import (
     GroupKind,
     exp_map,
     haar_sample,
+    haar_sample_batch,
     imaginary_radius,
+    validate_values,
 )
 
 MAX_SERIES_TERMS = 10_000
@@ -72,40 +74,45 @@ def finite_difference_casimir(
     and solve Delta chi = -c chi in least squares over the sample points.
     """
     rng = np.random.default_rng(seed)
+    dim = group.algebra_dim
+    steps = (step, step / 2.0)
+    # exp(+h e_j), exp(-h e_j) for each step h and direction j, in that order
+    shifts = []
+    for h in steps:
+        for coords in h * np.eye(dim):
+            shifts += [exp_map(AlgebraVector(group, coords)), exp_map(AlgebraVector(group, -coords))]
+    if group is GroupKind.U1:
+        # Python complex powers: a stacked numpy version moves the last bits
+        points = [haar_sample(group, rng) for _ in range(n_points)]
+        chis = [character(group, label, g) for g in points]
+        shifted = [[character(group, label, g * e) for e in shifts] for g in points]
+    else:
+        points = haar_sample_batch(group, rng, n_points)
+        moved = validate_values(group, points[:, None] @ np.stack([e.value for e in shifts]))
+
+        def characters(values):
+            traces = values[..., 0, 0] + values[..., 1, 1]
+            return su2_characters_from_traces(label, traces)[label].tolist()
+
+        chis, shifted = characters(points), characters(moved)
+    # Python complex arithmetic in a fixed order: numpy's complex / real
+    # multiplies by the reciprocal, which rounds differently
     num = 0.0
     den = 0.0
-    for _ in range(n_points):
-        g = haar_sample(group, rng)
-        chi = character(group, label, g)
-        lap = _fd_laplacian_of_character(group, label, g, step)
+    for chi, row in zip(chis, shifted):
+        at_shift = iter(row)  # chi(g exp(+h e_j)), chi(g exp(-h e_j)), as in shifts
+        second = []  # central second differences summed over j, per step
+        for h in steps:
+            total = 0.0 + 0.0j
+            for _ in range(dim):
+                total += (next(at_shift) - 2.0 * chi + next(at_shift)) / h**2
+            second.append(total)
+        lap = (4.0 * second[1] - second[0]) / 3.0
         num += (-lap * np.conj(chi)).real
         den += abs(chi) ** 2
     if den < 1e-9:
         raise RuntimeError("character vanished at all sampled points")
     return num / den
-
-
-def _fd_laplacian_of_character(
-    group: GroupKind, label: int, g: GroupElement, step: float
-) -> complex:
-    def second_diff(h: float) -> complex:
-        total = 0.0 + 0.0j
-        chi0 = character(group, label, g)
-        for j in range(group.algebra_dim):
-            coords = np.zeros(group.algebra_dim)
-            coords[j] = h
-            e_plus = exp_map(AlgebraVector(group, coords))
-            e_minus = exp_map(AlgebraVector(group, -coords))
-            total += (
-                character(group, label, g * e_plus)
-                - 2.0 * chi0
-                + character(group, label, g * e_minus)
-            ) / h**2
-        return total
-
-    d_h = second_diff(step)
-    d_h2 = second_diff(step / 2.0)
-    return (4.0 * d_h2 - d_h) / 3.0
 
 
 _validated_casimirs: Dict[tuple, float] = {}

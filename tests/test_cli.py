@@ -315,6 +315,13 @@ class TestOtherCommands:
         assert code == expected
         assert "flat_limit_range" in out
 
+    @pytest.mark.parametrize("hbar, expected", [("1.98", EXIT_OK), ("2", EXIT_NUMERICAL)])
+    def test_euclid_unitarity_c_limit_hbar_range(self, capsys, hbar, expected):
+        # 1.98 is the largest hbar the --c-limit help text promises; above
+        # it c_transform's kernel outgrows its nodes (TailTruncationError)
+        code, _, _ = run_cli(capsys, "euclid-unitarity", "--c-limit", "--s", "100", "--hbar", hbar)
+        assert code == expected
+
     def test_euclid_unitarity_includes_gaussian_row(self, capsys):
         code, out, _ = run_cli(
             capsys, "euclid-unitarity", "--s", "1", "--hbar", "0.5",

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from cylgauge import groups
 from cylgauge.groups import (
     AlgebraVector,
     BranchCutError,
@@ -18,9 +19,14 @@ from cylgauge.groups import (
     identity,
     polar_decompose,
     zero_vector,
+    _haar_quadrature,
     _project_unitary,
+    _u1_grid,
+    su2_euler_grid,
+    su2_weyl_grid,
 )
-from cylgauge.spectral import character
+from cylgauge.montecarlo import chunked_mc
+from cylgauge.spectral import character, heat_kernel
 
 U1, SU2 = GroupKind.U1, GroupKind.SU2
 
@@ -321,6 +327,70 @@ class TestHaarIntegration:
         angles = np.array(angles)
         assert abs(np.mean(np.cos(angles))) < 4.0 / math.sqrt(len(angles))
         assert abs(np.mean(np.cos(angles) ** 2) - 0.25) < 4.0 / math.sqrt(len(angles))
+
+
+def _su2_probe(g):
+    # reads entries beyond the trace, so a wrong node order or value shows
+    return heat_kernel(SU2, 1.0, g) * character(SU2, 1, g) + 1j * g.value[0, 1].real
+
+
+def _u1_probe(g):
+    return heat_kernel(U1, 0.7, g) + g.value**2
+
+
+class TestStackedNodes:
+    """Haar draws and grid nodes are validated as one stack, then wrapped:
+    the loops below, one validated GroupElement per node, are the reference."""
+
+    @pytest.mark.parametrize("group, f", [(U1, _u1_probe), (SU2, _su2_probe)])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_monte_carlo_matches_per_sample_loop(self, group, f, seed):
+        def per_sample(rng, m):
+            if group is U1:
+                elems = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, size=m))
+                return np.array([f(GroupElement(group, z)) for z in elems], dtype=complex)
+            mats = groups._su2_sample_batch(rng, m)
+            return np.array([f(GroupElement(group, u)) for u in mats], dtype=complex)
+
+        n = 10_001  # one full chunk of 8192 and a partial one
+        est = haar_integrate(group, f, method="monte_carlo", n_samples=n, seed=seed)
+        ref = chunked_mc(per_sample, n, seed)
+        assert complex(est.mean) == complex(ref.mean)
+        assert float(est.std_error).hex() == float(ref.std_error).hex()
+
+    @pytest.mark.parametrize("level", [2, 3, 6, 12])
+    def test_euler_quadrature_matches_per_node_loop(self, level):
+        mats, weights = su2_euler_grid(level)
+        total = 0.0 + 0.0j
+        for m, w in zip(mats, weights):
+            total += w * _su2_probe(GroupElement(SU2, m))
+        assert _haar_quadrature(SU2, _su2_probe, level, False) == complex(total)
+
+    @pytest.mark.parametrize("level", [2, 6, 17, 24, 48])
+    def test_weyl_and_u1_quadrature_match_per_node_loops(self, level):
+        f = lambda g: heat_kernel(SU2, 0.6, g) + 1j * g.value[1, 1].imag
+        thetas, weights = su2_weyl_grid(level)
+        total = 0.0 + 0.0j
+        for t, w in zip(thetas, weights):
+            total += w * f(GroupElement(SU2, np.diag([np.exp(1j * t), np.exp(-1j * t)])))
+        assert _haar_quadrature(SU2, f, level, True) == complex(total)
+        values, weights = _u1_grid(level)
+        total = sum(w * _u1_probe(GroupElement(U1, v)) for v, w in zip(values, weights))
+        assert _haar_quadrature(U1, _u1_probe, level, False) == complex(total)
+
+    def test_corrupted_haar_batch_raises(self, non_unitary_su2_batch):
+        with pytest.raises(ValueError, match="group element is not unitary"):
+            haar_integrate(SU2, _su2_probe, method="monte_carlo", n_samples=100, seed=1)
+
+    def test_product_matches_matmul(self):
+        # __mul__ forms 2x2 products with dot; @ is the reference
+        rng = np.random.default_rng(8)
+        for _ in range(1500):
+            g, h = haar_sample(SU2, rng), haar_sample(SU2, rng)
+            assert np.array_equal((g * h).value, g.value @ h.value)
+            x, y = rng.normal(size=3), rng.normal(size=3)
+            z = exp_map(AlgebraVector(SU2, x), AlgebraVector(SU2, y))
+            assert np.array_equal((z * g).value, z.value @ g.value)
 
 
 class TestAlgebraVector:

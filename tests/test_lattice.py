@@ -292,6 +292,14 @@ class TestStackedLinkPath:
                 L = sample_connection(group, 16, 1.0, rng)
                 assert haar_gauge_drift(L, trials, rng).hex() == drift.hex(), (seed, trials)
 
+    def test_haar_gauge_drift_blocks_bound_trials_times_sites(self):
+        # 256 sites give blocks of 64 trials, so 100 trials cross a boundary
+        for group in (U1, SU2):
+            (expected,) = trial_loop_drifts(group, 256, 3, (100,))
+            rng = np.random.default_rng(3)
+            L = sample_connection(group, 256, 1.0, rng)
+            assert haar_gauge_drift(L, 100, rng).hex() == expected.hex()
+
     def test_gauge_check_reports_haar_gauge_drift(self):
         rng = np.random.default_rng(2)
         L = sample_connection(SU2, 16, 1.0, rng)

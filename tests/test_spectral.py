@@ -71,6 +71,75 @@ class TestIrrepInfo:
                 assert abs(lap + info.casimir * chi) < 1e-6
 
 
+def _oracle_reference(group, label, seed, n_points=20, step=1e-2):
+    """finite_difference_casimir one point and one displacement at a time,
+    each product a validated GroupElement."""
+    def times(g, e):
+        # SU(2) by @, apart from GroupElement.__mul__
+        return g * e if group is U1 else GroupElement(group, g.value @ e.value)
+
+    rng = np.random.default_rng(seed)
+    num = 0.0
+    den = 0.0
+    for _ in range(n_points):
+        g = haar_sample(group, rng)
+        chi = character(group, label, g)
+
+        def second_diff(h):
+            total = 0.0 + 0.0j
+            for j in range(group.algebra_dim):
+                coords = np.zeros(group.algebra_dim)
+                coords[j] = h
+                e_plus = exp_map(AlgebraVector(group, coords))
+                e_minus = exp_map(AlgebraVector(group, -coords))
+                total += (
+                    character(group, label, times(g, e_plus))
+                    - 2.0 * chi
+                    + character(group, label, times(g, e_minus))
+                ) / h**2
+            return total
+
+        lap = (4.0 * second_diff(step / 2.0) - second_diff(step)) / 3.0
+        num += (-lap * np.conj(chi)).real
+        den += abs(chi) ** 2
+    return num / den
+
+
+# finite_difference_casimir(U1, label) at the default seed 321, labels -6..6
+U1_ORACLE_HEX = {
+    -6: "0x1.1fffffd484321p+5",
+    -5: "0x1.8fffffe2df781p+4",
+    -4: "0x1.fffffff0ba523p+3",
+    -3: "0x1.1ffffffd4799ep+3",
+    -2: "0x1.ffffffff0c76ep+1",
+    -1: "0x1.ffffffffeb642p-1",
+    0: "0x0.0p+0",
+    1: "0x1.fffffffff1f9ep-1",
+    2: "0x1.ffffffff0c6fep+1",
+    3: "0x1.1ffffffd482aep+3",
+    4: "0x1.fffffff0bb2b0p+3",
+    5: "0x1.8fffffe2e0298p+4",
+    6: "0x1.1fffffd48488ep+5",
+}
+
+
+class TestCasimirOracle:
+    @pytest.mark.parametrize("seed", [321, 0, 1, 5])
+    def test_su2_stacked_oracle_matches_reference(self, seed):
+        for label in range(7):
+            expected = _oracle_reference(SU2, label, seed)
+            assert finite_difference_casimir(SU2, label, seed=seed).hex() == expected.hex()
+
+    def test_u1_oracle_bits(self):
+        for label, expected in U1_ORACLE_HEX.items():
+            assert finite_difference_casimir(U1, label).hex() == expected
+            assert _oracle_reference(U1, label, 321).hex() == expected
+
+    def test_corrupted_haar_batch_raises(self, non_unitary_su2_batch):
+        with pytest.raises(ValueError, match="group element is not unitary"):
+            finite_difference_casimir(SU2, 2)
+
+
 def _fd_laplacian(group, label, g, h):
     def second(step):
         total = 0.0 + 0.0j
