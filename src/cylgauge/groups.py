@@ -509,9 +509,7 @@ class QuadratureResult:
 def _haar_quadrature(group: GroupKind, f, level: int, class_function: bool) -> complex:
     if group is GroupKind.U1:
         values, weights = _u1_grid(level)
-        nodes = _elements(group, validate_values(group, values))
-        return complex(sum(w * f(g) for g, w in zip(nodes, weights)))
-    if class_function:
+    elif class_function:
         thetas, weights = su2_weyl_grid(level)
         values = np.zeros((thetas.size, 2, 2), dtype=complex)
         values[:, 0, 0], values[:, 1, 1] = np.exp(1j * thetas), np.exp(-1j * thetas)

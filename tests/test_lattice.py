@@ -292,13 +292,19 @@ class TestStackedLinkPath:
                 L = sample_connection(group, 16, 1.0, rng)
                 assert haar_gauge_drift(L, trials, rng).hex() == drift.hex(), (seed, trials)
 
-    def test_haar_gauge_drift_blocks_bound_trials_times_sites(self):
+    def test_haar_gauge_drift_blocks_bound_trials_times_sites(self, monkeypatch):
         # 256 sites give blocks of 64 trials, so 100 trials cross a boundary
+        sizes = []
+        real = lattice.haar_sample_batch
+        monkeypatch.setattr(
+            lattice, "haar_sample_batch", lambda g, rng, n: sizes.append(n) or real(g, rng, n)
+        )
         for group in (U1, SU2):
             (expected,) = trial_loop_drifts(group, 256, 3, (100,))
             rng = np.random.default_rng(3)
             L = sample_connection(group, 256, 1.0, rng)
             assert haar_gauge_drift(L, 100, rng).hex() == expected.hex()
+        assert max(sizes) == 64 * 255  # draws per block: trials x (N - 1) sites
 
     def test_gauge_check_reports_haar_gauge_drift(self):
         rng = np.random.default_rng(2)
