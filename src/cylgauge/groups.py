@@ -556,11 +556,7 @@ def haar_integrate(
             raise ValueError("monte_carlo requires a seed")
 
         def sampler(rng: np.random.Generator, m: int) -> np.ndarray:
-            if group is GroupKind.U1:
-                values = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, size=m))
-            else:
-                values = _su2_sample_batch(rng, m)
-            nodes = _elements(group, validate_values(group, values))
+            nodes = _elements(group, haar_sample_batch(group, rng, m))
             return np.array([f(g) for g in nodes], dtype=complex)
 
         return chunked_mc(sampler, n_samples, seed)
