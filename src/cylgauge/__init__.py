@@ -44,7 +44,6 @@ from .bargmann import (
     s_transform_gram_check,
 )
 from .lattice import (
-    ComplexLatticeConnection,
     LatticeConnection,
     LatticeGaugeMap,
     LinkConfiguration,

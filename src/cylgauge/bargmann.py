@@ -149,8 +149,6 @@ class GramCheckResult:
     gram_domain: np.ndarray
     gram_range: np.ndarray
     max_deviation: float
-    params: HeatParams
-    degree: int
 
 
 def s_transform_gram_check(
@@ -181,7 +179,7 @@ def s_transform_gram_check(
     gram_range = np.einsum("ij,aij,bij->ab", w2d, zvals.conj(), zvals)
 
     dev = float(np.max(np.abs(gram_domain - gram_range)))
-    return GramCheckResult(gram_domain, gram_range, dev, params, basis_degree)
+    return GramCheckResult(gram_domain, gram_range, dev)
 
 
 # ---------------------------------------------------------------------------

@@ -97,12 +97,10 @@ def run_pushforward(o: dict) -> Report:
 def run_gram(o: dict) -> Report:
     group = _group_of(o["group"])
     _require(o["s"] > o["hbar"] / 2.0, "need s > hbar/2")
-    rep = reduction.gram_isometry_check(
+    return reduction.gram_isometry_check(
         group, o["n_max"], o["s"], o["hbar"], o["links"], o["samples"], o["seed"],
         n_workers=o["workers"],
     )
-    rep.params["samples"] = o["samples"]
-    return rep
 
 
 def run_laplacian_check(o: dict) -> Report:
@@ -121,7 +119,7 @@ def run_semigroup_check(o: dict) -> Report:
     base = lattice.smooth_connection(group, o["links"], rng, amplitude=o["amplitude"])
     if o["complex_base"]:
         imag = lattice.smooth_connection(group, o["links"], rng, amplitude=0.3 * o["amplitude"])
-        base = lattice.ComplexLatticeConnection(group, base.values, imag.values)
+        base = lattice.LatticeConnection(group, base.values + 1j * imag.values)
     return reduction.semigroup_reduction_check(
         CharacterSeries.single(group, o["label"]), base, o["hbar"], o["samples"], o["seed"],
         n_workers=o["workers"],
@@ -265,11 +263,12 @@ def run_gauge_check(o: dict) -> Report:
 
 def run_coherent_overlap(o: dict) -> Report:
     group = _group_of(o["group"])
+    _require(o["s"] > o["hbar"] / 2.0, "need s > hbar/2")
     rng = np.random.default_rng(o["seed"])
     rows = []
     for trial in range(o["trials"]):
         g = _random_complex_point(group, rng)
-        label = coherent.CoherentLabel(g, o["hbar"], o["s"] if o["s"] else math.inf)
+        label = coherent.CoherentLabel(g, o["hbar"], o["s"])
         max_label = 3 if group is GroupKind.SU2 else 2
         phi_label = int(rng.integers(0, max_label + 1))
         phi = CharacterSeries.single(group, phi_label)
@@ -282,7 +281,7 @@ def run_coherent_overlap(o: dict) -> Report:
         )
     return Report(
         command="coherent-overlap",
-        params={"hbar": o["hbar"], "s": o["s"] if o["s"] else "inf",
+        params={"hbar": o["hbar"], "s": "inf" if math.isinf(o["s"]) else o["s"],
                 "group": group.value, "trials": o["trials"]},
         rows=rows,
         seed=o["seed"],
@@ -300,12 +299,10 @@ def run_resolution_check(o: dict) -> Report:
     group = _group_of(o["group"])
     for s in o["s_list"]:
         _require(s > o["hbar"] / 2.0, f"s = {s} must exceed hbar/2")
-    rep = coherent.resolution_identity_check(
+    return coherent.resolution_identity_check(
         group, o["n_max"], o["hbar"], o["s_list"], o["links"], o["samples"],
         o["seed"], n_workers=o["workers"],
     )
-    rep.params["samples"] = o["samples"]
-    return rep
 
 
 def run_geodesic(o: dict) -> Report:
@@ -454,7 +451,7 @@ def _coerce(key: str, raw):
 def _resolve_options(command: str, cli_values: dict, config_section) -> dict:
     options = {key: option.default for key, option in OPTIONS.items()}
     if command == "coherent-overlap":
-        options["s"] = 0.0  # falsy: limit states unless s is given explicitly
+        options["s"] = math.inf  # limit states unless s is given explicitly
     if config_section is not None:
         for key, raw in config_section.items():
             key = key.replace("-", "_")
@@ -470,9 +467,11 @@ def _resolve_options(command: str, cli_values: dict, config_section) -> dict:
     _require(options["links"] >= 2, "need at least 2 links")
     _require(options["n_max"] >= 0, "n_max must be >= 0")
     _require(options["workers"] >= 1, "workers must be >= 1")
-    for key in ("samples", "trials"):
-        if key in COMMANDS[command].keys:
+    for key in COMMANDS[command].keys:
+        if key in ("samples", "trials", "t_steps", "quad_level"):
             _require(int(options[key]) >= 1, f"{key} must be >= 1")
+        elif OPTIONS[key].kind is list:
+            _require(len(options[key]) > 0, f"{key} must not be empty")
     return options
 
 

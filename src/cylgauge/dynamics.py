@@ -21,7 +21,6 @@ from .groups import (
     GroupKind,
     embed_algebra,
     exp_map,
-    expm_traceless,
     group_distance,
     group_log,
     unembed_algebra,
@@ -32,6 +31,7 @@ from .lattice import (
     _conjugate,
     gauge_transform,
     holonomy,
+    links_of,
     ordered_products,
 )
 
@@ -85,8 +85,7 @@ def partial_holonomies(L: LatticeConnection) -> list:
     if group is GroupKind.U1:
         acc = np.concatenate([[0.0], np.cumsum(L.values[:, 0])]) / n
         return [GroupElement(group, np.exp(1j * a)) for a in acc[:n]]
-    steps = expm_traceless(embed_algebra(group, L.values / n))
-    return [GroupElement(group, m) for m in ordered_products(steps[:-1])]
+    return [GroupElement(group, m) for m in ordered_products(links_of(L).links[:-1])]
 
 
 def make_constrained_pair(L: LatticeConnection, x0: AlgebraVector) -> PhasePoint:
@@ -109,7 +108,7 @@ def covariant_residual(pt: PhasePoint) -> float:
     group, n = pt.group, pt.n_sites
     if group is GroupKind.U1:
         return float(n * np.max(np.abs(np.diff(pt.p[:, 0]))))
-    steps = expm_traceless(embed_algebra(group, pt.a.values[:-1] / n))
+    steps = links_of(pt.a).links[:-1]
     diff = pt.p[1:] - unembed_algebra(group, _conjugate(steps, embed_algebra(group, pt.p[:-1])))
     return float(n * np.max(np.linalg.norm(diff, axis=1)))
 

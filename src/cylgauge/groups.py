@@ -87,17 +87,8 @@ class AlgebraVector:
         """Matrix form: i*x for u(1), (i/2) x.sigma for su(2)."""
         return embed_algebra(self.group, self.coords)
 
-    def __add__(self, other: "AlgebraVector") -> "AlgebraVector":
-        return AlgebraVector(self.group, self.coords + other.coords)
-
-    def __sub__(self, other: "AlgebraVector") -> "AlgebraVector":
-        return AlgebraVector(self.group, self.coords - other.coords)
-
     def __rmul__(self, c: float) -> "AlgebraVector":
         return AlgebraVector(self.group, c * self.coords)
-
-    def dot(self, other: "AlgebraVector") -> float:
-        return float(np.dot(self.coords, other.coords))
 
 
 def zero_vector(group: GroupKind) -> AlgebraVector:
@@ -503,7 +494,6 @@ def su2_weyl_grid(level: int):
 class QuadratureResult:
     value: complex
     error: float
-    n_points: int
 
 
 def _haar_quadrature(group: GroupKind, f, level: int, class_function: bool) -> complex:
@@ -544,11 +534,7 @@ def haar_integrate(
             raise ValueError("quadrature level must be at least 2")
         fine = _haar_quadrature(group, f, level, class_function)
         coarse = _haar_quadrature(group, f, max(2, level // 2), class_function)
-        if group is GroupKind.U1:
-            n_points = level
-        else:
-            n_points = 4 * level if class_function else 4 * level**3
-        return QuadratureResult(fine, abs(fine - coarse), n_points)
+        return QuadratureResult(fine, abs(fine - coarse))
     if method == "monte_carlo":
         if n_samples < 1:
             raise ValueError("monte_carlo requires n_samples >= 1")

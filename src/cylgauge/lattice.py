@@ -21,7 +21,6 @@ from typing import Optional, Union
 import numpy as np
 
 from .groups import (
-    AlgebraVector,
     ComplexGroupElement,
     GroupElement,
     GroupKind,
@@ -45,13 +44,15 @@ from .spectral import heat_moment, su2_characters_from_traces
 
 @dataclass(frozen=True, eq=False)
 class LatticeConnection:
-    """Real connection on N sites of the circle."""
+    """Connection on N sites of the circle: real A_k, or complex Z_k = A_k + i P_k
+    on the complexified connection space."""
 
     group: GroupKind
-    values: np.ndarray  # (N, dim)
+    values: np.ndarray  # (N, dim), float or complex
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
+        values = np.asarray(self.values)
+        values = values.astype(complex if np.iscomplexobj(values) else float, copy=False)
         if values.ndim != 2 or values.shape[0] < 2 or values.shape[1] != self.group.algebra_dim:
             raise ValueError("values must have shape (N >= 2, algebra_dim)")
         if not np.all(np.isfinite(values)):
@@ -62,52 +63,8 @@ class LatticeConnection:
     def n_sites(self) -> int:
         return self.values.shape[0]
 
-    @property
-    def dt(self) -> float:
-        return 1.0 / self.n_sites
-
     def norm_sq(self) -> float:
-        return float(np.sum(self.values**2) / self.n_sites)
-
-    def site(self, k: int) -> AlgebraVector:
-        return AlgebraVector(self.group, self.values[k])
-
-    def __add__(self, other: "LatticeConnection") -> "LatticeConnection":
-        return LatticeConnection(self.group, self.values + other.values)
-
-    def __rmul__(self, c: float) -> "LatticeConnection":
-        return LatticeConnection(self.group, c * self.values)
-
-
-@dataclass(frozen=True, eq=False)
-class ComplexLatticeConnection:
-    """Complexified connection Z_k = A_k + i P_k."""
-
-    group: GroupKind
-    real_part: np.ndarray
-    imag_part: np.ndarray
-
-    def __post_init__(self):
-        re = np.asarray(self.real_part, dtype=float)
-        im = np.asarray(self.imag_part, dtype=float)
-        if re.shape != im.shape:
-            raise ValueError("real and imaginary parts must be aligned")
-        if re.ndim != 2 or re.shape[0] < 2 or re.shape[1] != self.group.algebra_dim:
-            raise ValueError("parts must have shape (N >= 2, algebra_dim)")
-        if not (np.all(np.isfinite(re)) and np.all(np.isfinite(im))):
-            raise ValueError("lattice values must be finite")
-        object.__setattr__(self, "real_part", re)
-        object.__setattr__(self, "imag_part", im)
-
-    @property
-    def n_sites(self) -> int:
-        return self.real_part.shape[0]
-
-    def complex_values(self) -> np.ndarray:
-        return self.real_part + 1j * self.imag_part
-
-
-AnyConnection = Union[LatticeConnection, ComplexLatticeConnection]
+        return float(np.sum(np.abs(self.values) ** 2) / self.n_sites)
 
 
 @dataclass(frozen=True, eq=False)
@@ -280,15 +237,15 @@ def _element_from_matrix(group: GroupKind, value, real: bool):
     return ComplexGroupElement(group, value)
 
 
-def holonomy(L: AnyConnection, method: str = "product"):
-    """Holonomy around the circle; complex input gives the complexified one.
+def holonomy(L: LatticeConnection, method: str = "product"):
+    """Holonomy around the circle; complex values give the complexified one.
 
     method="product": exact solution for the piecewise-constant connection.
     method="rk4": classical Runge-Kutta with step 1/(4N) on the periodic
     linear interpolation of the site values.
     """
-    real = isinstance(L, LatticeConnection)
-    coords = L.values if real else L.complex_values()
+    coords = L.values
+    real = not np.iscomplexobj(coords)
     if method == "product":
         value = holonomy_batch(L.group, coords[None, ...])[0]
         return _element_from_matrix(L.group, value, real)
@@ -336,7 +293,7 @@ def gauge_transform(
     gauge: LatticeGaugeMap,
     level: str = "link",
 ):
-    """Apply a based gauge map.
+    """Apply a based gauge map to a real connection or to link variables.
 
     level="link": U_k -> g_{k+1} U_k g_k^{-1} on link variables (holonomy is
     exactly invariant by telescoping).  Accepts a connection (converted via
@@ -350,6 +307,8 @@ def gauge_transform(
         raise ValueError("gauge map and configuration must share the site count")
     group = L.group
     n = L.n_sites
+    if isinstance(L, LatticeConnection) and np.iscomplexobj(L.values):
+        raise ValueError("gauge maps act on real connections")
     if level == "link":
         cfg = links_of(L) if isinstance(L, LatticeConnection) else L
         g = np.array([e.value for e in gauge.elements], dtype=complex)
@@ -442,10 +401,7 @@ def sample_connection(
     """Draw from the lattice Gaussian with formal density exp(-|A|^2 / 2s)."""
     if s < 0:
         raise ValueError("variance parameter s must be nonnegative")
-    if n_sites < 2:
-        raise ValueError("need at least two sites")
-    values = rng.normal(scale=math.sqrt(s * n_sites), size=(n_sites, group.algebra_dim))
-    return LatticeConnection(group, values)
+    return LatticeConnection(group, _gaussian_draw(group, n_sites, s)(rng, 1)[0])
 
 
 def sample_complex_connection(
@@ -454,11 +410,10 @@ def sample_complex_connection(
     s: float,
     hbar: float,
     rng: np.random.Generator,
-) -> ComplexLatticeConnection:
+) -> LatticeConnection:
     """Draw Z = A + iP from the split Gaussian with densities exp(-q^2/r),
     exp(-p^2/hbar) per unit-norm coordinate, r = 2s - hbar."""
-    re, im = sample_complex_batch(group, n_sites, s, hbar, rng, 1)
-    return ComplexLatticeConnection(group, re[0], im[0])
+    return LatticeConnection(group, _gaussian_draw(group, n_sites, s, hbar)(rng, 1)[0])
 
 
 def sample_complex_batch(group, n_sites, s, hbar, rng, batch):
@@ -576,25 +531,26 @@ def pushforward_moment(
 # ---------------------------------------------------------------------------
 
 
-def connection_to_json(L: AnyConnection) -> str:
-    doc = {"group": L.group.value, "n_sites": L.n_sites}
-    if isinstance(L, LatticeConnection):
-        doc["values"] = L.values.tolist()
-    else:
-        doc["values"] = L.real_part.tolist()
-        doc["imag_values"] = L.imag_part.tolist()
+def connection_to_json(L: LatticeConnection) -> str:
+    """"values" holds the real parts; "imag_values" is present only for
+    complex connections."""
+    doc = {"group": L.group.value, "n_sites": L.n_sites, "values": L.values.real.tolist()}
+    if np.iscomplexobj(L.values):
+        doc["imag_values"] = L.values.imag.tolist()
     return json.dumps(doc)
 
 
-def connection_from_json(text: str) -> AnyConnection:
+def connection_from_json(text: str) -> LatticeConnection:
     doc = json.loads(text)
-    group = GroupKind(doc["group"])
     values = np.asarray(doc["values"], dtype=float)
     if values.shape[0] != doc["n_sites"]:
         raise ValueError("n_sites does not match the values array")
     if "imag_values" in doc:
-        return ComplexLatticeConnection(group, values, np.asarray(doc["imag_values"], dtype=float))
-    return LatticeConnection(group, values)
+        imag = np.asarray(doc["imag_values"], dtype=float)
+        if imag.shape != values.shape:
+            raise ValueError("real and imaginary parts must be aligned")
+        values = values + 1j * imag
+    return LatticeConnection(GroupKind(doc["group"]), values)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,6 @@ import numpy as np
 
 from .groups import GroupKind, PAULI
 from .lattice import (
-    AnyConnection,
     LatticeConnection,
     _characters,
     _coupled_levels,
@@ -132,7 +131,7 @@ def laplacian_reduction_check(
 
 def semigroup_reduction_check(
     phi: CharacterSeries,
-    base: AnyConnection,
+    base: LatticeConnection,
     hbar: float,
     n_samples: int,
     seed: int,
@@ -144,19 +143,17 @@ def semigroup_reduction_check(
     if hbar <= 0:
         raise ValueError("hbar must be positive")
     group, n = base.group, base.n_sites
-    real_base = isinstance(base, LatticeConnection)
-    base_coords = base.values if real_base else base.complex_values()
     target = evaluate_series(heat_semigroup(group, hbar, phi), holonomy(base))
     (est,) = _coupled_levels(
         group, _gaussian_draw(group, n, hbar),
         lambda traces: [evaluate_series_at_traces(phi, traces)],
-        1, 1, n_samples, seed, bases=[base_coords], n_workers=n_workers,
+        1, 1, n_samples, seed, bases=[base.values], n_workers=n_workers,
     )
     row = ReportRow.from_estimate("semigroup_moment", est, target)
     return Report(
         command="semigroup-check",
         params={"N": n, "hbar": hbar, "samples": n_samples, "group": group.value,
-                "complex_base": not real_base},
+                "complex_base": np.iscomplexobj(base.values)},
         rows=[row],
         seed=seed,
     )

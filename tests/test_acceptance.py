@@ -193,7 +193,7 @@ def test_criterion_06_pushforward_to_heat_kernel():
 
 def test_criterion_07_semigroup_reduction():
     budget = Budget(120.0)
-    from cylgauge.lattice import ComplexLatticeConnection
+    from cylgauge.lattice import LatticeConnection
     from cylgauge.reduction import refinement_study, semigroup_reduction_check
     from cylgauge.spectral import evaluate_series, heat_semigroup, su2_characters_from_traces
 
@@ -204,7 +204,7 @@ def test_criterion_07_semigroup_reduction():
         re = smooth_connection(U1, 32, np.random.default_rng(50), amplitude=1.0)
         if complex_base:
             im = smooth_connection(U1, 32, np.random.default_rng(51), amplitude=0.4)
-            base = ComplexLatticeConnection(U1, re.values, im.values)
+            base = LatticeConnection(U1, re.values + 1j * im.values)
         else:
             base = re
         rep = semigroup_reduction_check(
@@ -224,11 +224,10 @@ def test_criterion_07_semigroup_reduction():
             re = smooth_connection(SU2, n, np.random.default_rng(52), amplitude=0.8)
             if complex_base:
                 im = smooth_connection(SU2, n, np.random.default_rng(53), amplitude=0.25)
-                base = ComplexLatticeConnection(SU2, re.values, im.values)
-                bases.append(base.complex_values())
+                base = LatticeConnection(SU2, re.values + 1j * im.values)
             else:
                 base = re
-                bases.append(base.values)
+            bases.append(base.values)
             targets.append(evaluate_series(heat_semigroup(SU2, hbar, phi), holonomy(base)))
 
         def draw(rng, m):

@@ -128,6 +128,22 @@ class TestConfigHandling:
         self.assert_config_error(capsys, "trials must be >= 1",
                                  command, "--trials", trials, "--seed", "1")
 
+    @pytest.mark.parametrize("message, argv", [
+        ("s_list must not be empty", ["resolution-check", "--s-list="]),
+        ("radii must not be empty", ["radial-laplacian", "--radii="]),
+        ("t_steps must be >= 1", ["geodesic", "--t-steps", "0"]),
+        ("quad_level must be >= 1", ["coherent-overlap", "--quad-level", "0"]),
+        ("need s > hbar/2", ["coherent-overlap", "--s", "0"]),
+    ])
+    def test_empty_or_zero_options_exit_2(self, capsys, message, argv):
+        self.assert_config_error(capsys, message, *argv, "--seed", "1")
+
+    def test_coherent_overlap_default_s_is_limit_states(self, capsys):
+        code, out, _ = run_cli(capsys, "coherent-overlap", "--trials", "1", "--seed", "1")
+        assert code == EXIT_OK
+        header, row = out.splitlines()[:2]
+        assert row.split(",")[header.split(",").index("s")] == "inf"
+
     def test_config_file_defaults_and_flag_override(self, capsys, tmp_path):
         cfg = tmp_path / "exp.ini"
         cfg.write_text(

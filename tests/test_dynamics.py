@@ -135,6 +135,24 @@ class TestConstrainedPairs:
             for t_k, m in zip(transports, mats):
                 assert np.array_equal(t_k.value, m)
 
+    def test_link_steps_keep_their_bits(self):
+        # partial_holonomies and covariant_residual read links_of(L); the
+        # steps they built themselves before give the same bits
+        from cylgauge.groups import embed_algebra, expm_traceless, unembed_algebra
+        from cylgauge.lattice import _conjugate, ordered_products
+
+        rng = np.random.default_rng(12)
+        for n in (2, 3, 16, 33):
+            L = sample_connection(SU2, n, 2.0, rng)
+            steps = expm_traceless(embed_algebra(SU2, L.values / n))
+            for t_k, m in zip(partial_holonomies(L), ordered_products(steps[:-1])):
+                assert t_k.value.tobytes() == m.tobytes()
+            for pt in (make_constrained_pair(L, unit_vector(SU2, rng)), PhasePoint(L, rng.normal(size=(n, 3)))):
+                old = expm_traceless(embed_algebra(SU2, pt.a.values[:-1] / n))
+                diff = pt.p[1:] - unembed_algebra(SU2, _conjugate(old, embed_algebra(SU2, pt.p[:-1])))
+                expected = float(n * np.max(np.linalg.norm(diff, axis=1)))
+                assert covariant_residual(pt).hex() == expected.hex()
+
 
 class TestGeodesicReduction:
     def test_u1_exact(self):

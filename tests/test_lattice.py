@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -15,7 +16,6 @@ from cylgauge.groups import (
     validate_values,
 )
 from cylgauge.lattice import (
-    ComplexLatticeConnection,
     LatticeConnection,
     LatticeGaugeMap,
     LinkConfiguration,
@@ -76,8 +76,8 @@ class TestSampling:
         r = 2 * s - hbar
         rng = np.random.default_rng(3)
         draws = [sample_complex_connection(SU2, n, s, hbar, rng) for _ in range(2000)]
-        re = np.stack([d.real_part for d in draws])
-        im = np.stack([d.imag_part for d in draws])
+        re = np.stack([d.values.real for d in draws])
+        im = np.stack([d.values.imag for d in draws])
         assert abs(re.var() - r / 2 * n) < 4 * (r / 2 * n) * math.sqrt(2.0 / re.size)
         assert abs(im.var() - hbar / 2 * n) < 4 * (hbar / 2 * n) * math.sqrt(2.0 / im.size)
 
@@ -86,7 +86,7 @@ class TestSampling:
         hbar = 2 * s - 1e-9
         rng = np.random.default_rng(4)
         d = sample_complex_connection(U1, 8, s, hbar, rng)
-        assert np.max(np.abs(d.real_part)) < 1e-3
+        assert np.max(np.abs(d.values.real)) < 1e-3
 
     def test_complex_holonomy_in_sl2c(self):
         rng = np.random.default_rng(5)
@@ -138,7 +138,7 @@ class TestHolonomy:
     def test_complex_restricted_to_real_matches(self):
         rng = np.random.default_rng(10)
         L = sample_connection(SU2, 16, 1.0, rng)
-        z = ComplexLatticeConnection(SU2, L.values, np.zeros_like(L.values))
+        z = LatticeConnection(SU2, L.values + 1j * np.zeros_like(L.values))
         assert np.max(np.abs(holonomy(L).value - holonomy(z).value)) < 1e-12
 
     def test_unknown_method(self):
@@ -441,9 +441,9 @@ class TestSerialization:
         rng = np.random.default_rng(18)
         z = sample_complex_connection(U1, 8, 1.0, 0.5, rng)
         back = connection_from_json(connection_to_json(z))
-        assert isinstance(back, ComplexLatticeConnection)
-        assert np.array_equal(back.real_part, z.real_part)
-        assert np.array_equal(back.imag_part, z.imag_part)
+        assert isinstance(back, LatticeConnection)
+        assert np.array_equal(back.values.real, z.values.real)
+        assert np.array_equal(back.values.imag, z.values.imag)
 
     def test_replayed_configuration_reproduces_holonomy(self):
         rng = np.random.default_rng(19)
@@ -454,6 +454,71 @@ class TestSerialization:
     def test_corrupt_document_rejected(self):
         with pytest.raises(ValueError):
             connection_from_json('{"group": "su2", "n_sites": 4, "values": [[0,0,0]]}')
+
+
+class TestOneConnectionType:
+    """Real and complex connections share LatticeConnection; complex values
+    hold Z = A + iP and select the complexified holonomy."""
+
+    def test_complex_dtype_kept_and_real_cast_to_float(self):
+        z = LatticeConnection(U1, [[1 + 2j], [3 + 0j]])
+        assert z.values.dtype == complex and z.values[0, 0] == 1 + 2j
+        assert LatticeConnection(U1, [[1], [3]]).values.dtype == float
+        assert z.norm_sq() == (5.0 + 9.0) / 2
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_imaginary_part_rejected(self, bad):
+        values = np.zeros((4, 3), dtype=complex)
+        values[2, 1] = complex(0.5, bad)
+        with pytest.raises(ValueError, match="finite"):
+            LatticeConnection(SU2, values)
+        with pytest.raises(ValueError, match="shape"):
+            LatticeConnection(SU2, np.zeros((4, 2), dtype=complex))
+
+    def test_real_norm_sq_keeps_its_bits(self):
+        L = sample_connection(SU2, 33, 1.7, np.random.default_rng(30))
+        assert L.norm_sq().hex() == float(np.sum(L.values**2) / 33).hex()
+
+    def test_json_text_pinned(self):
+        real = LatticeConnection(SU2, [[0.1, -0.2, 0.3], [1.5, 0.0, -2.25]])
+        z = LatticeConnection(U1, np.array([[0.5], [-1.25], [1e-17]]) + 1j * np.array([[0.75], [0.0], [-3.0]]))
+        assert connection_to_json(real) == (
+            '{"group": "su2", "n_sites": 2, "values": [[0.1, -0.2, 0.3], [1.5, 0.0, -2.25]]}'
+        )
+        assert connection_to_json(z) == (
+            '{"group": "u1", "n_sites": 3, "values": [[0.5], [-1.25], [1e-17]], '
+            '"imag_values": [[0.75], [0.0], [-3.0]]}'
+        )
+        assert connection_from_json(connection_to_json(z)).values.tobytes() == z.values.tobytes()
+
+    def test_misaligned_imaginary_part_rejected(self):
+        with pytest.raises(ValueError, match="aligned"):
+            connection_from_json('{"group": "u1", "n_sites": 2, "values": [[0.0], [1.0]], "imag_values": [[0.0]]}')
+
+    @pytest.mark.parametrize("level", ["link", "algebra"])
+    def test_gauge_transform_rejects_complex_values(self, level):
+        rng = np.random.default_rng(31)
+        for group in (U1, SU2):
+            z = sample_complex_connection(group, 6, 2.0, 1.0, rng)
+            with pytest.raises(ValueError, match="real connections"):
+                gauge_transform(z, random_based_map(group, 6, rng), level=level)
+
+    @pytest.mark.parametrize("group, digest", [
+        (U1, "54d19a05ac07e772dd39c2b8e99b641160b3ba17da13dd04a71af01d79cc31de"),
+        (SU2, "b0e0bbf56502ce56f0199d418a59e53e9644694fabea2de03bb65460a5c6d456"),
+    ])
+    def test_seeded_draws_and_holonomies_pinned(self, group, digest):
+        # real and complex draws and their holonomies, as the two-class
+        # implementation produced them
+        sha = hashlib.sha256()
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            for n in (2, 7, 32):
+                L = sample_connection(group, n, 1.3, rng)
+                z = sample_complex_connection(group, n, 2.0, 0.7, rng)
+                for arr in (L.values, holonomy(L).value, z.values, holonomy(z).value):
+                    sha.update(np.ascontiguousarray(arr).tobytes())
+        assert sha.hexdigest() == digest
 
 
 def test_holonomy_traces_match_elementwise():

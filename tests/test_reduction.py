@@ -7,7 +7,6 @@ import pytest
 from cylgauge import lattice
 from cylgauge.groups import GroupKind
 from cylgauge.lattice import (
-    ComplexLatticeConnection,
     LatticeConnection,
     _coupled_levels,
     _gaussian_draw,
@@ -100,7 +99,7 @@ class TestSemigroupReduction:
         k, hbar = 1, 0.5
         re = smooth_connection(U1, 16, np.random.default_rng(8), amplitude=1.0)
         im = smooth_connection(U1, 16, np.random.default_rng(9), amplitude=0.4)
-        base = ComplexLatticeConnection(U1, re.values, im.values)
+        base = LatticeConnection(U1, re.values + 1j * im.values)
         rep = semigroup_reduction_check(CharacterSeries.single(U1, k), base, hbar, 100_000, seed=3)
         row = rep.rows[0]
         z0 = (re.values[:, 0] + 1j * im.values[:, 0]).mean()
@@ -119,8 +118,8 @@ class TestSemigroupReduction:
             n = n_fine >> level
             re = smooth_connection(SU2, n, np.random.default_rng(40), amplitude=0.8)
             im = smooth_connection(SU2, n, np.random.default_rng(41), amplitude=0.25)
-            base = ComplexLatticeConnection(SU2, re.values, im.values)
-            bases.append(base.complex_values())
+            base = LatticeConnection(SU2, re.values + 1j * im.values)
+            bases.append(base.values)
             flowed_targets.append(
                 evaluate_series(heat_semigroup(SU2, hbar, phi), holonomy(base))
             )
