@@ -263,7 +263,6 @@ def run_gauge_check(o: dict) -> Report:
 
 def run_coherent_overlap(o: dict) -> Report:
     group = _group_of(o["group"])
-    _require(o["s"] > o["hbar"] / 2.0, "need s > hbar/2")
     rng = np.random.default_rng(o["seed"])
     rows = []
     for trial in range(o["trials"]):

@@ -52,8 +52,8 @@ class CoherentLabel:
     def __post_init__(self):
         if self.hbar <= 0:
             raise ValueError("hbar must be positive")
-        if not math.isinf(self.s) and self.s <= self.hbar / 2.0:
-            raise ValueError("finite s must exceed hbar/2")
+        if not self.s > self.hbar / 2.0:  # NaN and -inf fail too
+            raise ValueError("s must exceed hbar/2 (math.inf selects the limit states)")
 
     @property
     def group(self) -> GroupKind:

@@ -133,7 +133,8 @@ class TestConfigHandling:
         ("radii must not be empty", ["radial-laplacian", "--radii="]),
         ("t_steps must be >= 1", ["geodesic", "--t-steps", "0"]),
         ("quad_level must be >= 1", ["coherent-overlap", "--quad-level", "0"]),
-        ("need s > hbar/2", ["coherent-overlap", "--s", "0"]),
+        ("s must exceed hbar/2 (math.inf selects the limit states)", ["coherent-overlap", "--s", "0"]),
+        ("s must exceed hbar/2 (math.inf selects the limit states)", ["coherent-overlap", "--s=-inf"]),
     ])
     def test_empty_or_zero_options_exit_2(self, capsys, message, argv):
         self.assert_config_error(capsys, message, *argv, "--seed", "1")

@@ -71,8 +71,9 @@ class TestCoherentEval:
     def test_label_validation(self):
         with pytest.raises(ValueError):
             CoherentLabel(identity(SU2), hbar=-1.0)
-        with pytest.raises(ValueError):
-            CoherentLabel(identity(SU2), hbar=1.0, s=0.4)
+        for s in (0.4, 0.0, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="must exceed"):
+                CoherentLabel(identity(SU2), hbar=1.0, s=s)
 
 
 def group_coords(g, rng):

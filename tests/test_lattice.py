@@ -467,7 +467,7 @@ class TestOneConnectionType:
         assert z.norm_sq() == (5.0 + 9.0) / 2
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
-    def test_non_finite_imaginary_part_rejected(self, bad):
+    def test_checks_apply_to_complex_values(self, bad):
         values = np.zeros((4, 3), dtype=complex)
         values[2, 1] = complex(0.5, bad)
         with pytest.raises(ValueError, match="finite"):
