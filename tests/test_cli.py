@@ -135,7 +135,7 @@ class TestConfigHandling:
         ("quad_level must be >= 1", ["coherent-overlap", "--quad-level", "0"]),
         ("s must exceed hbar/2 (math.inf selects the limit states)", ["coherent-overlap", "--s", "0"]),
         ("s must exceed hbar/2 (math.inf selects the limit states)", ["coherent-overlap", "--s=-inf"]),
-    ])
+    ], ids=["empty-s-list", "empty-radii", "zero-t-steps", "zero-quad-level", "s-zero", "s-minus-inf"])
     def test_empty_or_zero_options_exit_2(self, capsys, message, argv):
         self.assert_config_error(capsys, message, *argv, "--seed", "1")
 

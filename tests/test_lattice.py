@@ -506,7 +506,7 @@ class TestOneConnectionType:
     @pytest.mark.parametrize("group, digest", [
         (U1, "54d19a05ac07e772dd39c2b8e99b641160b3ba17da13dd04a71af01d79cc31de"),
         (SU2, "b0e0bbf56502ce56f0199d418a59e53e9644694fabea2de03bb65460a5c6d456"),
-    ])
+    ], ids=["u1", "su2"])
     def test_seeded_draws_and_holonomies_pinned(self, group, digest):
         # real and complex draws and their holonomies, as the two-class
         # implementation produced them
