@@ -31,6 +31,7 @@ from .groups import (
     identity,
     unembed_algebra,
     validate_values,
+    _project_det_one,
     _project_unitary,
 )
 from .montecarlo import MCEstimate, chunked_mc_vector
@@ -241,8 +242,9 @@ def holonomy(L: LatticeConnection, method: str = "product"):
     """Holonomy around the circle; complex values give the complexified one.
 
     method="product": exact solution for the piecewise-constant connection.
-    method="rk4": classical Runge-Kutta with step 1/(4N) on the periodic
-    linear interpolation of the site values.
+    method="rk4": classical Runge-Kutta with step 1/(4N), each site value
+    held constant over its interval; the result is projected onto the group
+    (det 1 for the complexified one).
     """
     coords = L.values
     real = not np.iscomplexobj(coords)
@@ -272,7 +274,8 @@ def holonomy(L: LatticeConnection, method: str = "product"):
             step = np.eye(2, dtype=complex) + z + z2 / 2.0 + (z2 @ z) / 6.0 + (z2 @ z2) / 24.0
             for _ in range(substeps):
                 h = step @ h
-    return _element_from_matrix(L.group, h, real)
+    # the Taylor steps drift off det 1; the real result is projected below
+    return _element_from_matrix(L.group, h if real else _project_det_one(h, L.group), real)
 
 
 def links_of(L: LatticeConnection) -> LinkConfiguration:
