@@ -144,10 +144,54 @@ def link_holonomy_values(group: GroupKind, links: np.ndarray) -> np.ndarray:
 # product tree is a few whole-array operations, an odd last site carried up.
 # Operation and operand order are fixed (numpy's complex a b and b a may
 # round differently), so the bits do not depend on batch size or layout.
+#
+# A complex step needs cosh mu and sinh(mu)/mu at mu^2 = u = -c.c/4, both
+# entire in u: two Horner series of one fixed degree, exact to roundoff for
+# |u| <= 1.  An element with |Re u| + |Im u| > 1 is scaled by 4^-j, j chosen
+# from its own u (never from its blockmates'), and doubled back j times on
+# e = cosh - 1: e(2m) = 2 e (e + 2), sinh(2m)/(2m) = (sinh(m)/m)(1 + e).
+# The doublings run in long double, which keeps their rounding below that of
+# the double input.  numpy may round an aliased in-place complex multiply of
+# length 1 differently from every other (without FMA, on AVX-512 builds), so
+# complex products that may have length 1 go out of place.
 # ---------------------------------------------------------------------------
 
 
 BLOCK = 1024  # configurations per block of stacked work: a block's arrays stay in cache
+SERIES_DEGREE = 9  # first omitted term at |u| = 1: 1/20! < 4.2e-19
+_COSHM1_COEFFS = [1.0 / math.factorial(2 * k + 2) for k in range(SERIES_DEGREE)]  # (cosh - 1)/u
+_SINHC_COEFFS = [1.0 / math.factorial(2 * k + 1) for k in range(SERIES_DEGREE + 1)]
+
+
+def _horner(u: np.ndarray, coeffs: list) -> np.ndarray:
+    """sum_k coeffs[k] u^k; products go to a second buffer, never aliased."""
+    acc, spare = u * coeffs[-1], np.empty_like(u)
+    for a in coeffs[-2:0:-1]:
+        acc += a
+        np.multiply(acc, u, out=spare)
+        acc, spare = spare, acc
+    acc += coeffs[0]
+    return acc
+
+
+def _cosh_sinhc(u: np.ndarray) -> tuple:
+    """cosh(mu) and sinh(mu)/mu at mu^2 = u, elementwise; u is overwritten."""
+    bound = np.abs(u.real) + np.abs(u.imag)  # >= |u|
+    big = np.flatnonzero(bound > 1.0)
+    if big.size:
+        halvings = (np.frexp(bound.flat[big])[1] + 1) // 2  # 4^halvings > bound
+        u.flat[big] = u.flat[big] * np.ldexp(1.0, -2 * halvings)
+    e, sinhc = _horner(u, _COSHM1_COEFFS) * u, _horner(u, _SINHC_COEFFS)
+    if big.size:
+        eb, sb = e.flat[big].astype(np.clongdouble), sinhc.flat[big].astype(np.clongdouble)
+        for done in range(halvings.max()):
+            sel = halvings > done
+            es, ss = eb[sel], sb[sel]
+            sb[sel] = ss + ss * es
+            eb[sel] = 2.0 * (es * (es + 2.0))
+        e.flat[big], sinhc.flat[big] = eb, sb
+    e += 1.0
+    return e, sinhc
 
 
 def _su2_steps(coords: np.ndarray, real: bool) -> list:
@@ -161,14 +205,9 @@ def _su2_steps(coords: np.ndarray, real: bool) -> list:
         safe = np.where(small, 1.0, theta) if small.any() else theta
         w, scale = np.cos(theta), 0.5 * np.sin(safe) / safe
         scale[small] = 0.5 * (1.0 - theta[small] ** 2 / 6.0)
-    else:
-        mu = 0.5 * np.sqrt(-sq + 0j)
-        small = np.abs(mu) < 1e-8
-        safe = np.where(small, 1.0, mu) if small.any() else mu
-        w, scale = np.cosh(mu), np.sinh(safe) / safe
-        scale[small] = 1.0 + mu[small] ** 2 / 6.0
-        scale = 0.5j * scale
-    return [w] + [np.multiply(scale, c, out=c) for c in comps]
+        return [w] + [np.multiply(scale, c, out=c) for c in comps]
+    w, sinhc = _cosh_sinhc(-0.25 * sq)
+    return [w] + list(0.5j * sinhc * comps)
 
 
 def _quat_mul(q1: list, q2: list, real: bool, w_only: bool) -> list:
@@ -455,7 +494,9 @@ def _gaussian_draw(group: GroupKind, n_sites: int, s: float, hbar: Optional[floa
 
     def draw(rng: np.random.Generator, m: int) -> np.ndarray:
         re, im = sample_complex_batch(group, n_sites, s, hbar, rng, m)
-        return re + 1j * im
+        z = np.empty(re.shape, dtype=complex)
+        z.real, z.imag = re, im
+        return z
 
     return draw
 

@@ -512,22 +512,27 @@ class TestOneConnectionType:
             with pytest.raises(ValueError, match="real connections"):
                 gauge_transform(z, random_based_map(group, 6, rng), level=level)
 
-    @pytest.mark.parametrize("group, digest", [
-        (U1, "54d19a05ac07e772dd39c2b8e99b641160b3ba17da13dd04a71af01d79cc31de"),
-        (SU2, "b0e0bbf56502ce56f0199d418a59e53e9644694fabea2de03bb65460a5c6d456"),
+    @pytest.mark.parametrize("group, draws_digest, complex_holonomy_digest", [
+        (U1, "8885dc3b06316dcccea2ed519d01038d3158f7e312d9ef8a770d5823e2c0192a",
+         "f2b47a6bc3eddabf12ffeb5e316e179e53b669ff42e539c21d61bc515e7ae3f5"),
+        (SU2, "15efe5c7779d698e1654da910665b7119402ac1d5463b39abff856afc2270105",
+         "85c36cb5799913fa058f5bd3e7376b6a5e55c83d116889e76736ec9dbfadee26"),
     ], ids=["u1", "su2"])
-    def test_seeded_draws_and_holonomies_pinned(self, group, digest):
-        # real and complex draws and their holonomies, as the two-class
-        # implementation produced them
-        sha = hashlib.sha256()
+    def test_seeded_draws_and_holonomies_pinned(self, group, draws_digest, complex_holonomy_digest):
+        # real and complex draws and real holonomies keep the bits of the
+        # two-class implementation; complexified SU(2) holonomies are pinned
+        # as the series steps give them (TestComplexStepAccuracy backs them)
+        draws, complex_holonomies = hashlib.sha256(), hashlib.sha256()
         for seed in range(5):
             rng = np.random.default_rng(seed)
             for n in (2, 7, 32):
                 L = sample_connection(group, n, 1.3, rng)
                 z = sample_complex_connection(group, n, 2.0, 0.7, rng)
-                for arr in (L.values, holonomy(L).value, z.values, holonomy(z).value):
-                    sha.update(np.ascontiguousarray(arr).tobytes())
-        assert sha.hexdigest() == digest
+                for arr in (L.values, holonomy(L).value, z.values):
+                    draws.update(np.ascontiguousarray(arr).tobytes())
+                complex_holonomies.update(np.ascontiguousarray(holonomy(z).value).tobytes())
+        assert draws.hexdigest() == draws_digest
+        assert complex_holonomies.hexdigest() == complex_holonomy_digest
 
 
 def test_holonomy_traces_match_elementwise():
@@ -606,6 +611,20 @@ class TestKernelOracle:
             assert traces[i] == holonomy_traces(SU2, coords[i:i + 1])[0]
             assert np.array_equal(hols[i], holonomy_batch(SU2, coords[i:i + 1])[0])
 
+    @pytest.mark.parametrize("n", [1, 2, 4, 7])
+    def test_complex_batch_across_halving_threshold_matches_single_configurations(self, n):
+        # steps at |u| <= 1e-9, ~1 and >> 1 mixed within every block, so each
+        # row's blockmates reach other |u| than the row itself
+        rng = np.random.default_rng(43 + n)
+        direction = rng.normal(size=(1100, n, 3)) + 1j * rng.normal(size=(1100, n, 3))
+        direction /= np.linalg.norm(direction, axis=2, keepdims=True)
+        magnitude = rng.choice([1e-5 * n, 2.0 * n, 20.0 * n], size=(1100, n, 1))
+        coords = magnitude * direction
+        traces, hols = holonomy_traces(SU2, coords), holonomy_batch(SU2, coords)
+        for i in range(len(coords)):
+            assert traces[i] == holonomy_traces(SU2, coords[i:i + 1])[0]
+            assert np.array_equal(hols[i], holonomy_batch(SU2, coords[i:i + 1])[0])
+
     @pytest.mark.parametrize("complexified", [False, True])
     @pytest.mark.parametrize("n", [2, 3, 7, 12, 64])
     def test_zero_and_near_zero_coordinates(self, n, complexified):
@@ -614,3 +633,51 @@ class TestKernelOracle:
         coords[0] = 0.0
         coords[3] *= 1e9
         self.check(coords)
+
+
+class TestComplexStepAccuracy:
+    """Complexified steps (w and the vector part) against long-double cosh
+    and sinh of the same double inputs.  Errors are in units of 2^-52
+    relative to max(1, |reference|), the largest over 4000 inputs with |u|
+    within 10% of the stated value, mu = sqrt(u) along the real or imaginary
+    axis, or u from a random complex c (mixed)."""
+
+    # (|u|, direction): (error of the csqrt/ccosh/csinh steps these replaced,
+    # bound = that error plus 25%, at least 0.5)
+    CASES = {
+        (0.0, "real"): (0.002, 0.5), (0.0, "imag"): (0.002, 0.5), (0.0, "mixed"): (0.002, 0.5),
+        (1e-6, "real"): (0.50, 0.63), (1e-6, "imag"): (0.25, 0.5), (1e-6, "mixed"): (1.18, 1.5),
+        (0.2, "real"): (0.74, 0.93), (0.2, "imag"): (0.46, 0.58), (0.2, "mixed"): (1.56, 2.0),
+        (1.0, "real"): (1.88, 2.4), (1.0, "imag"): (1.05, 1.4), (1.0, "mixed"): (5.12, 6.5),
+        (4.0, "real"): (2.40, 3.0), (4.0, "imag"): (2.00, 2.5), (4.0, "mixed"): (46.2, 58),
+        (42.0, "real"): (4.74, 6.0), (42.0, "imag"): (4.17, 5.3), (42.0, "mixed"): (72.6, 91),
+        (200.0, "real"): (9.63, 13), (200.0, "imag"): (10.0, 13), (200.0, "mixed"): (265, 340),
+    }
+
+    @staticmethod
+    def inputs(level, direction, rng, m=4000):
+        """coords (m, 1, 3) whose steps have |u| = |c.c| / 4 near level."""
+        target = max(level, 1e-18) * rng.uniform(0.9, 1.1, m)
+        if direction == "mixed":
+            c = rng.normal(size=(m, 3)) + 1j * rng.normal(size=(m, 3))
+            c *= np.sqrt(4.0 * target / np.abs(np.sum(c * c, axis=1)))[:, None]
+        else:
+            n = rng.normal(size=(m, 3))
+            n /= np.linalg.norm(n, axis=1, keepdims=True)
+            mu = np.sqrt(target) * (1.0 if direction == "real" else 1j)
+            c = (2j * mu)[:, None] * n
+        return c[:, None, :]
+
+    @pytest.mark.parametrize("level, direction", list(CASES), ids=[f"{u:g}-{d}" for u, d in CASES])
+    def test_steps_against_long_double(self, level, direction):
+        coords = self.inputs(level, direction, np.random.default_rng([int(level * 1000), "rim".index(direction[0])]))
+        w, x, y, z = (a[0] for a in lattice._su2_steps(coords.copy(), real=False))
+        c = coords[:, 0, :].astype(np.clongdouble)
+        mu = np.sqrt(-np.sum(c * c, axis=1)) / 2
+        ref_w = np.cosh(mu)
+        ref_v = (0.5j * np.where(mu == 0, 1, np.sinh(mu) / np.where(mu == 0, 1, mu)))[:, None] * c
+        v = np.stack([x, y, z], axis=1)
+        err_w = np.abs(w - ref_w) / np.maximum(1, np.abs(ref_w))
+        err_v = np.max(np.abs(v - ref_v), axis=1) / np.maximum(1, np.max(np.abs(ref_v), axis=1))
+        error = float(max(err_w.max(), err_v.max())) / np.finfo(float).eps
+        assert error <= self.CASES[level, direction][1]
