@@ -178,18 +178,16 @@ def _cosh_sinhc(u: np.ndarray) -> tuple:
     """cosh(mu) and sinh(mu)/mu at mu^2 = u, elementwise; u is overwritten."""
     bound = np.abs(u.real) + np.abs(u.imag)  # >= |u|
     big = np.flatnonzero(bound > 1.0)
-    if big.size:
-        halvings = (np.frexp(bound.flat[big])[1] + 1) // 2  # 4^halvings > bound
-        u.flat[big] = u.flat[big] * np.ldexp(1.0, -2 * halvings)
+    halvings = (np.frexp(bound.flat[big])[1] + 1) // 2  # 4^halvings > bound
+    u.flat[big] = u.flat[big] * np.ldexp(1.0, -2 * halvings)
     e, sinhc = _horner(u, _COSHM1_COEFFS) * u, _horner(u, _SINHC_COEFFS)
-    if big.size:
-        eb, sb = e.flat[big].astype(np.clongdouble), sinhc.flat[big].astype(np.clongdouble)
-        for done in range(halvings.max()):
-            sel = halvings > done
-            es, ss = eb[sel], sb[sel]
-            sb[sel] = ss + ss * es
-            eb[sel] = 2.0 * (es * (es + 2.0))
-        e.flat[big], sinhc.flat[big] = eb, sb
+    eb, sb = e.flat[big].astype(np.clongdouble), sinhc.flat[big].astype(np.clongdouble)
+    for done in range(halvings.max(initial=0)):
+        sel = halvings > done
+        es, ss = eb[sel], sb[sel]
+        sb[sel] = ss + ss * es
+        eb[sel] = 2.0 * (es * (es + 2.0))
+    e.flat[big], sinhc.flat[big] = eb, sb
     e += 1.0
     return e, sinhc
 
