@@ -47,14 +47,10 @@ from .lattice import (
     LatticeConnection,
     LatticeGaugeMap,
     LinkConfiguration,
-    connection_from_json,
-    connection_to_json,
-    gauge_map_between,
     gauge_transform,
     holonomy,
     links_of,
     pushforward_moment,
-    sample_complex_connection,
     sample_connection,
     smooth_connection,
     smooth_gauge_map,
@@ -64,24 +60,19 @@ from .reduction import (
     RefinementStudy,
     gram_isometry_check,
     gram_matrix_refinement,
-    gram_refinement,
     laplacian_reduction_check,
     pushforward_refinement,
     radial_laplacian_check,
-    refinement_study,
     semigroup_reduction_check,
     submersion_check,
 )
 from .coherent import (
     CoherentLabel,
-    coherent_eval,
     coherent_overlap,
-    holomorphy_witness,
     resolution_identity_check,
 )
 from .dynamics import (
     PhasePoint,
-    energy,
     evolve_free,
     geodesic_compare,
     make_constrained_pair,

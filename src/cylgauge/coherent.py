@@ -22,7 +22,6 @@ import numpy as np
 
 from .groups import (
     ComplexGroupElement,
-    GroupElement,
     GroupKind,
     imaginary_radius,
     su2_euler_grid,
@@ -35,7 +34,6 @@ from .spectral import (
     DEFAULT_TOL_COMPLEX,
     evaluate_series,
     evaluate_series_at_traces,
-    heat_kernel,
     heat_kernel_at_traces,
     heat_semigroup,
 )
@@ -58,23 +56,6 @@ class CoherentLabel:
     @property
     def group(self) -> GroupKind:
         return self.g.group
-
-
-def coherent_eval(label: CoherentLabel, x: GroupElement, tol: float = 1e-8) -> complex:
-    """Pointwise value of the state at x in K.
-
-    The finite-s denominator rho_s(x) is strictly positive; tol guards the
-    division anyway.
-    """
-    numerator = np.conj(heat_kernel(label.group, label.hbar, label.g * x.inverse()))
-    if math.isinf(label.s):
-        return complex(numerator)
-    denominator = heat_kernel(label.group, label.s, x)
-    if denominator <= tol:
-        raise ZeroDivisionError(
-            f"rho_s(x) = {denominator} below the {tol} guard; state undefined here"
-        )
-    return complex(numerator / denominator)
 
 
 @dataclass(frozen=True)
@@ -184,33 +165,3 @@ def resolution_identity_check(
         notes={"s_trend": trend},
     )
 
-
-def holomorphy_witness(
-    label: CoherentLabel,
-    phi: CharacterSeries,
-    direction: np.ndarray,
-    fd_step: float = 1e-5,
-) -> float:
-    """Cauchy-Riemann defect of g -> overlap along one algebra direction.
-
-    Holomorphy demands d/dt F(g exp(t i E)) = i d/dt F(g exp(t E)); returns
-    the absolute difference of the two central-difference derivatives.
-    """
-    from .groups import AlgebraVector, exp_map, zero_vector
-
-    group = label.group
-    direction = np.asarray(direction, dtype=float)
-    zero = zero_vector(group)
-    flowed = heat_semigroup(group, label.hbar, phi)
-
-    def overlap_at(g: ComplexGroupElement) -> complex:
-        return evaluate_series(flowed, g)
-
-    def along(step: float, imaginary: bool) -> complex:
-        vec = AlgebraVector(group, step * direction)
-        move = exp_map(zero, vec) if imaginary else exp_map(vec)
-        return overlap_at(label.g * move)
-
-    d_real = (along(fd_step, False) - along(-fd_step, False)) / (2.0 * fd_step)
-    d_imag = (along(fd_step, True) - along(-fd_step, True)) / (2.0 * fd_step)
-    return abs(d_imag - 1j * d_real)

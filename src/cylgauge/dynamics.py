@@ -19,7 +19,6 @@ from .groups import (
     AlgebraVector,
     GroupElement,
     GroupKind,
-    embed_algebra,
     exp_map,
     group_distance,
     group_log,
@@ -27,9 +26,7 @@ from .groups import (
 )
 from .lattice import (
     LatticeConnection,
-    LatticeGaugeMap,
     _conjugate,
-    gauge_transform,
     holonomy,
     links_of,
     ordered_products,
@@ -58,25 +55,9 @@ class PhasePoint:
         return self.a.n_sites
 
 
-def energy(pt: PhasePoint) -> float:
-    """Kinetic energy (1/2) |P|^2 with the (1/N)-weighted norm."""
-    return 0.5 * float(np.sum(pt.p**2)) / pt.n_sites
-
-
 def evolve_free(pt: PhasePoint, t: float) -> PhasePoint:
     """Exact free flow (A, P) -> (A + tP, P)."""
     return PhasePoint(LatticeConnection(pt.group, pt.a.values + t * pt.p), pt.p)
-
-
-def gauge_transform_phase(pt: PhasePoint, gauge: LatticeGaugeMap) -> PhasePoint:
-    """Gauge action on phase points: the translation term moves only the
-    position, the momentum is conjugated pointwise."""
-    new_a = gauge_transform(pt.a, gauge, level="algebra")
-    group = pt.group
-    if group is GroupKind.U1:
-        return PhasePoint(new_a, pt.p.copy())
-    g = np.array([e.value for e in gauge.elements])
-    return PhasePoint(new_a, unembed_algebra(group, _conjugate(g, embed_algebra(group, pt.p))))
 
 
 def partial_holonomies(L: LatticeConnection) -> list:
@@ -103,21 +84,11 @@ def make_constrained_pair(L: LatticeConnection, x0: AlgebraVector) -> PhasePoint
     return PhasePoint(L, unembed_algebra(group, _conjugate(transports, x0.embed())))
 
 
-def covariant_residual(pt: PhasePoint) -> float:
-    """max over interior links of |N (P_{k+1} - U_k P_k U_k^{-1})|."""
-    group, n = pt.group, pt.n_sites
-    if group is GroupKind.U1:
-        return float(n * np.max(np.abs(np.diff(pt.p[:, 0]))))
-    steps = links_of(pt.a).links[:-1]
-    diff = pt.p[1:] - unembed_algebra(group, _conjugate(steps, embed_algebra(group, pt.p[:-1])))
-    return float(n * np.max(np.linalg.norm(diff, axis=1)))
-
-
 def effective_velocity(pt: PhasePoint, eps: float = 1e-5) -> AlgebraVector:
     """X_eff = log(h(A)^{-1} h(A + eps P)) / eps, the initial holonomy
     velocity in the group."""
     h0 = holonomy(pt.a)
-    h_eps = holonomy(LatticeConnection(pt.group, pt.a.values + eps * pt.p))
+    h_eps = holonomy(evolve_free(pt, eps).a)
     return (1.0 / eps) * group_log(h0.inverse() * h_eps)
 
 
@@ -133,7 +104,7 @@ def geodesic_compare(
     h0 = holonomy(pt.a)
     devs = []
     for t in t_grid:
-        evolved = holonomy(LatticeConnection(pt.group, pt.a.values + t * pt.p))
+        evolved = holonomy(evolve_free(pt, t).a)
         geodesic = h0 * exp_map(AlgebraVector(pt.group, t * x_eff.coords))
         devs.append(group_distance(evolved, geodesic))
     return max(devs), devs

@@ -13,7 +13,6 @@ which telescopes: the holonomy is exactly invariant.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Optional, Union
@@ -87,10 +86,6 @@ class LatticeGaugeMap:
     def n_sites(self) -> int:
         return len(self.elements)
 
-    def element(self, k: int) -> GroupElement:
-        """g_k with the periodic identification g_N = g_0 = e."""
-        return self.elements[k % self.n_sites]
-
 
 @dataclass(frozen=True, eq=False)
 class LinkConfiguration:
@@ -105,9 +100,6 @@ class LinkConfiguration:
 
     def holonomy(self) -> GroupElement:
         return GroupElement(self.group, link_holonomy_values(self.group, self.links))
-
-    def link(self, k: int) -> GroupElement:
-        return GroupElement(self.group, self.links[k])
 
 
 def ordered_products(links: np.ndarray) -> list:
@@ -403,33 +395,6 @@ def haar_gauge_drift(L: LatticeConnection, trials: int, rng: np.random.Generator
     return worst
 
 
-def gauge_map_between(a: LinkConfiguration, b: LinkConfiguration) -> LatticeGaugeMap:
-    """Based gauge map carrying links a to links b, from the telescoping
-    recursion g_{k+1} = b_k g_k a_k^{-1}.
-
-    The recursion closes up (g_N = e) exactly when the two holonomies agree;
-    the caller can measure the returned map's closure defect via
-    closure_defect().
-    """
-    if a.group is not b.group or a.n_sites != b.n_sites:
-        raise ValueError("configurations must share group and site count")
-    group = a.group
-    g = identity(group)
-    elems = [g]
-    for k in range(a.n_sites - 1):
-        g = b.link(k) * g * a.link(k).inverse()
-        elems.append(g)
-    return LatticeGaugeMap(group, tuple(elems))
-
-
-def closure_defect(gauge: LatticeGaugeMap, a: LinkConfiguration, b: LinkConfiguration) -> float:
-    """|g_N - e| for the recursion above; 0 iff the map truly carries a to b."""
-    k = a.n_sites - 1
-    g_n = b.link(k) * gauge.element(k) * a.link(k).inverse()
-    ident = identity(a.group)
-    return float(np.max(np.abs(np.asarray(g_n.value) - np.asarray(ident.value))))
-
-
 # ---------------------------------------------------------------------------
 # Gaussian sampling
 # ---------------------------------------------------------------------------
@@ -444,19 +409,10 @@ def sample_connection(
     return LatticeConnection(group, _gaussian_draw(group, n_sites, s)(rng, 1)[0])
 
 
-def sample_complex_connection(
-    group: GroupKind,
-    n_sites: int,
-    s: float,
-    hbar: float,
-    rng: np.random.Generator,
-) -> LatticeConnection:
-    """Draw Z = A + iP from the split Gaussian with densities exp(-q^2/r),
-    exp(-p^2/hbar) per unit-norm coordinate, r = 2s - hbar."""
-    return LatticeConnection(group, _gaussian_draw(group, n_sites, s, hbar)(rng, 1)[0])
-
-
 def sample_complex_batch(group, n_sites, s, hbar, rng, batch):
+    """Real and imaginary parts, each (batch, n_sites, dim), of Z = A + iP
+    drawn from the split Gaussian with densities exp(-q^2/r), exp(-p^2/hbar)
+    per unit-norm coordinate, r = 2s - hbar."""
     if hbar <= 0:
         raise ValueError("hbar must be positive")
     if s <= hbar / 2.0:
@@ -508,27 +464,68 @@ def _characters(group: GroupKind, labels, traces: np.ndarray) -> dict:
     return {k: table[k] for k in labels}
 
 
+@dataclass(frozen=True)
+class RefinementStudy:
+    """Estimates of one moment at N, N/2, N/4, ... from coupled samples.
+
+    extrapolated is the per-sample Richardson combination 2 v_fine - v_half,
+    which cancels the leading O(1/N) lattice bias (None for a one-level
+    study); bias_ratio estimates (bias at N/2) / (bias at N/4), which is 1/2
+    under a clean first-order bias.  targets may differ per level when the
+    check's closed form depends on the lattice base point.
+    """
+
+    n_sites: tuple
+    estimates: tuple
+    extrapolated: Optional[MCEstimate]
+    targets: tuple
+
+    @property
+    def target(self) -> complex:
+        return self.targets[0]
+
+    def bias_ratio(self) -> float:
+        if len(self.estimates) < 3:
+            raise ValueError("need three refinement levels for a bias ratio")
+        b = [e.mean - t for e, t in zip(self.estimates, self.targets)]
+        d1, d2 = b[1] - b[0], b[2] - b[1]
+        if abs(d2) == 0.0:
+            return math.inf
+        return abs(d1) / abs(d2)
+
+    def extrapolated_z(self) -> float:
+        if self.extrapolated is None:
+            raise ValueError("need two refinement levels to extrapolate")
+        return self.extrapolated.z_score(2.0 * self.targets[0] - self.targets[1])
+
+
 def _coupled_levels(
     group: GroupKind,
     draw,
     columns,
-    n_columns: int,
-    n_levels: int,
+    targets: list,
+    n_fine: int,
     n_samples: int,
     seed: int,
     bases: Optional[list] = None,
     n_workers: Optional[int] = None,
 ) -> list:
-    """Means of columns(traces) at n_levels coupled resolutions N, N/2, ...
+    """One RefinementStudy per column of columns(traces), at the coupled
+    resolutions n_fine, n_fine/2, ...
 
-    draw(rng, m) supplies the finest-lattice fluctuation, each coarser level
+    draw(rng, m) supplies the n_fine-site fluctuation, each coarser level
     averages adjacent sites of the one before, and bases[level], when given
     and not None, is a deterministic offset added at that level.
-    columns(traces) returns the n_columns value arrays of one level.  Returns
-    the MCEstimates level by level, followed, with two or more levels, by the
-    n_columns per-sample Richardson columns 2 v_N - v_{N/2}, which cancel the
-    leading O(1/N) lattice bias.
+    targets[q][level] is column q's closed form at that level, so the length
+    of each targets[q] is the number of levels.  With two or more levels each
+    study also carries the per-sample Richardson column 2 v_N - v_{N/2}.
     """
+    n_columns, n_levels = len(targets), len(targets[0]) if targets else 0
+    if n_levels < 1 or n_fine % (1 << (n_levels - 1)):
+        raise ValueError(
+            "n_levels must be at least 1 and n_fine divisible by 2^(n_levels-1) "
+            f"(got n_levels={n_levels}, n_fine={n_fine})"
+        )
 
     def sampler(rng: np.random.Generator, m: int) -> np.ndarray:
         noise = draw(rng, m)
@@ -545,7 +542,17 @@ def _coupled_levels(
         return np.stack(cols, axis=1)
 
     n_quantities = n_columns * (n_levels + 1 if n_levels > 1 else 1)
-    return chunked_mc_vector(sampler, n_quantities, n_samples, seed, n_workers=n_workers)
+    ests = chunked_mc_vector(sampler, n_quantities, n_samples, seed, n_workers=n_workers)
+    n_sites = tuple(n_fine >> level for level in range(n_levels))
+    return [
+        RefinementStudy(
+            n_sites=n_sites,
+            estimates=tuple(ests[q:n_levels * n_columns:n_columns]),
+            extrapolated=ests[n_levels * n_columns + q] if n_levels > 1 else None,
+            targets=tuple(complex(t) for t in targets[q]),
+        )
+        for q in range(n_columns)
+    ]
 
 
 def pushforward_moment(
@@ -560,39 +567,12 @@ def pushforward_moment(
     """Monte Carlo estimate of E[chi_label(h(A))] under the variance-s
     Gaussian, with the closed-form heat-kernel target d exp(-s c / 2)."""
     target = heat_moment(group, label, s)
-    (estimate,) = _coupled_levels(
+    (study,) = _coupled_levels(
         group, _gaussian_draw(group, n_sites, s),
         lambda traces: [_characters(group, (label,), traces)[label]],
-        1, 1, n_samples, seed, n_workers=n_workers,
+        [(target,)], n_sites, n_samples, seed, n_workers=n_workers,
     )
-    return estimate, target
-
-
-# ---------------------------------------------------------------------------
-# Serialization (replay of failing cases)
-# ---------------------------------------------------------------------------
-
-
-def connection_to_json(L: LatticeConnection) -> str:
-    """"values" holds the real parts; "imag_values" is present only for
-    complex connections."""
-    doc = {"group": L.group.value, "n_sites": L.n_sites, "values": L.values.real.tolist()}
-    if np.iscomplexobj(L.values):
-        doc["imag_values"] = L.values.imag.tolist()
-    return json.dumps(doc)
-
-
-def connection_from_json(text: str) -> LatticeConnection:
-    doc = json.loads(text)
-    values = np.asarray(doc["values"], dtype=float)
-    if values.shape[0] != doc["n_sites"]:
-        raise ValueError("n_sites does not match the values array")
-    if "imag_values" in doc:
-        imag = np.asarray(doc["imag_values"], dtype=float)
-        if imag.shape != values.shape:
-            raise ValueError("real and imaginary parts must be aligned")
-        values = values + 1j * imag
-    return LatticeConnection(GroupKind(doc["group"]), values)
+    return study.estimates[0], target
 
 
 # ---------------------------------------------------------------------------

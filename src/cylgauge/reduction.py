@@ -13,23 +13,21 @@ coupling makes bias differences measurable far below the raw noise level.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .groups import GroupKind, PAULI
 from .lattice import (
     LatticeConnection,
+    RefinementStudy,
     _characters,
     _coupled_levels,
     _gaussian_draw,
-    coarsen_coords,
     holonomy,
     holonomy_batch,
     holonomy_traces,
 )
-from .montecarlo import MCEstimate
 from .reporting import Report, ReportRow
 from .spectral import (
     CharacterSeries,
@@ -144,12 +142,12 @@ def semigroup_reduction_check(
         raise ValueError("hbar must be positive")
     group, n = base.group, base.n_sites
     target = evaluate_series(heat_semigroup(group, hbar, phi), holonomy(base))
-    (est,) = _coupled_levels(
+    (study,) = _coupled_levels(
         group, _gaussian_draw(group, n, hbar),
         lambda traces: [evaluate_series_at_traces(phi, traces)],
-        1, 1, n_samples, seed, bases=[base.values], n_workers=n_workers,
+        [(target,)], n, n_samples, seed, bases=[base.values], n_workers=n_workers,
     )
-    row = ReportRow.from_estimate("semigroup_moment", est, target)
+    row = ReportRow.from_estimate("semigroup_moment", study.estimates[0], target)
     return Report(
         command="semigroup-check",
         params={"N": n, "hbar": hbar, "samples": n_samples, "group": group.value,
@@ -316,97 +314,6 @@ def _submersion_tol(L: LatticeConnection) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RefinementStudy:
-    """Estimates of one moment at N, N/2, N/4, ... from coupled samples.
-
-    extrapolated is the per-sample Richardson combination 2 v_fine - v_half,
-    which cancels the leading O(1/N) lattice bias (None for a one-level
-    study); bias_ratio estimates (bias at N/2) / (bias at N/4), which is 1/2
-    under a clean first-order bias.  targets may differ per level when the
-    check's closed form depends on the lattice base point.
-    """
-
-    n_sites: tuple
-    estimates: tuple
-    extrapolated: Optional[MCEstimate]
-    targets: tuple
-
-    @property
-    def target(self) -> complex:
-        return self.targets[0]
-
-    def biases(self) -> list:
-        return [e.mean - t for e, t in zip(self.estimates, self.targets)]
-
-    def bias_ratio(self) -> float:
-        if len(self.estimates) < 3:
-            raise ValueError("need three refinement levels for a bias ratio")
-        b = self.biases()
-        d1, d2 = b[1] - b[0], b[2] - b[1]
-        if abs(d2) == 0.0:
-            return math.inf
-        return abs(d1) / abs(d2)
-
-    def extrapolated_target(self) -> complex:
-        if self.extrapolated is None:
-            raise ValueError("need two refinement levels to extrapolate")
-        return 2.0 * self.targets[0] - self.targets[1]
-
-    def extrapolated_z(self) -> float:
-        target = self.extrapolated_target()
-        return self.extrapolated.z_score(target)
-
-
-def _studies(ests: list, n_fine: int, targets: list) -> list:
-    """One RefinementStudy per column of _coupled_levels' output; targets[q]
-    holds column q's per-level targets."""
-    n_columns, n_levels = len(targets), len(targets[0])
-    return [
-        RefinementStudy(
-            n_sites=tuple(n_fine >> level for level in range(n_levels)),
-            estimates=tuple(ests[level * n_columns + q] for level in range(n_levels)),
-            extrapolated=ests[n_levels * n_columns + q] if n_levels > 1 else None,
-            targets=targets[q],
-        )
-        for q in range(n_columns)
-    ]
-
-
-def refinement_study(
-    group: GroupKind,
-    draw_fine: Callable[[np.random.Generator, int], np.ndarray],
-    value_of_traces: Callable[[np.ndarray], np.ndarray],
-    target: Union[complex, Sequence[complex]],
-    n_fine: int,
-    n_levels: int,
-    n_samples: int,
-    seed: int,
-    bases: Optional[Sequence[Optional[np.ndarray]]] = None,
-    n_workers: Optional[int] = None,
-) -> RefinementStudy:
-    """Run one moment estimate at n_fine, n_fine/2, ... with shared noise.
-
-    draw_fine(rng, m) supplies the fine-lattice fluctuation; optional bases
-    give a deterministic offset per level (e.g. the same smooth profile
-    resampled at each resolution), in which case target may also be a
-    per-level sequence.
-    """
-    if n_fine % (1 << (n_levels - 1)):
-        raise ValueError("n_fine must be divisible by 2^(n_levels-1)")
-    if isinstance(target, (int, float, complex)):
-        targets = tuple(complex(target) for _ in range(n_levels))
-    else:
-        targets = tuple(complex(t) for t in target)
-        if len(targets) != n_levels:
-            raise ValueError("need one target per refinement level")
-    ests = _coupled_levels(
-        group, draw_fine, lambda traces: [value_of_traces(traces)], 1, n_levels,
-        n_samples, seed, bases=bases, n_workers=n_workers,
-    )
-    return _studies(ests, n_fine, [targets])[0]
-
-
 def pushforward_refinement(
     group: GroupKind,
     label: int,
@@ -418,44 +325,13 @@ def pushforward_refinement(
     n_workers: Optional[int] = None,
 ) -> RefinementStudy:
     """Coupled-refinement version of the heat-kernel pushforward moment."""
-    return refinement_study(
+    (study,) = _coupled_levels(
         group, _gaussian_draw(group, n_fine, s),
-        lambda traces: _characters(group, (label,), traces)[label],
-        heat_moment(group, label, s), n_fine, n_levels, n_samples, seed,
+        lambda traces: [_characters(group, (label,), traces)[label]],
+        [(heat_moment(group, label, s),) * n_levels], n_fine, n_samples, seed,
         n_workers=n_workers,
     )
-
-
-def gram_refinement(
-    group: GroupKind,
-    a: int,
-    b: int,
-    s: float,
-    hbar: float,
-    n_fine: int,
-    n_samples: int,
-    seed: int,
-    n_levels: int = 3,
-    n_workers: Optional[int] = None,
-) -> RefinementStudy:
-    """Coupled-refinement study of one Gram entry.
-
-    Averaging adjacent sites of both the real and imaginary coordinate
-    arrays is again an exact draw from the half-resolution complex Gaussian.
-    """
-    target = rho_s_inner_product(group, a, b, s)
-    decay = math.exp(
-        -hbar * (irrep_info(group, a).casimir + irrep_info(group, b).casimir) / 2.0
-    )
-
-    def value(traces: np.ndarray) -> np.ndarray:
-        chars = _characters(group, (a, b), traces)
-        return decay * chars[a] * np.conj(chars[b])
-
-    return refinement_study(
-        group, _gaussian_draw(group, n_fine, s, hbar), value, target, n_fine,
-        n_levels, n_samples, seed, n_workers=n_workers,
-    )
+    return study
 
 
 def gram_matrix_refinement(
@@ -489,9 +365,9 @@ def gram_matrix_refinement(
             return [decay[a] * decay[b] * np.conj(chars[a]) * chars[b] for a, b in pairs]
         return [decay[a] * decay[b] * chars[a] * np.conj(chars[b]) for a, b in pairs]
 
-    ests = _coupled_levels(
-        group, _gaussian_draw(group, n_fine, s, hbar), columns, len(pairs), n_levels,
+    targets = [(rho_s_inner_product(group, a, b, s),) * n_levels for a, b in pairs]
+    studies = _coupled_levels(
+        group, _gaussian_draw(group, n_fine, s, hbar), columns, targets, n_fine,
         n_samples, seed, n_workers=n_workers,
     )
-    targets = [(complex(rho_s_inner_product(group, a, b, s)),) * n_levels for a, b in pairs]
-    return dict(zip(pairs, _studies(ests, n_fine, targets)))
+    return dict(zip(pairs, studies))

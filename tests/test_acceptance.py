@@ -37,7 +37,6 @@ from cylgauge.lattice import (
 )
 from cylgauge.reduction import (
     gram_matrix_refinement,
-    gram_refinement,
     laplacian_reduction_check,
     pushforward_refinement,
     radial_laplacian_check,
@@ -193,8 +192,8 @@ def test_criterion_06_pushforward_to_heat_kernel():
 
 def test_criterion_07_semigroup_reduction():
     budget = Budget(120.0)
-    from cylgauge.lattice import LatticeConnection
-    from cylgauge.reduction import refinement_study, semigroup_reduction_check
+    from cylgauge.lattice import LatticeConnection, _coupled_levels
+    from cylgauge.reduction import semigroup_reduction_check
     from cylgauge.spectral import evaluate_series, heat_semigroup, su2_characters_from_traces
 
     # abelian tier, real and complex base points: exact targets, plain z
@@ -233,11 +232,11 @@ def test_criterion_07_semigroup_reduction():
         def draw(rng, m):
             return rng.normal(scale=math.sqrt(hbar * n_fine), size=(m, n_fine, 3))
 
-        def value(traces):
-            return su2_characters_from_traces(1, traces)[1]
+        def columns(traces):
+            return [su2_characters_from_traces(1, traces)[1]]
 
-        study = refinement_study(
-            SU2, draw, value, targets, n_fine, 2, 100_000, seed=26, bases=bases
+        (study,) = _coupled_levels(
+            SU2, draw, columns, [targets], n_fine, 100_000, seed=26, bases=bases
         )
         su2_zs.append(study.extrapolated_z())
         assert study.extrapolated_z() < 3.0
@@ -252,7 +251,7 @@ def test_criterion_08_unitarity_diagram():
     budget = Budget(120.0)
     s, hbar = 2.0, 0.5
     c2 = irrep_info(SU2, 2).casimir
-    study = gram_refinement(SU2, 1, 1, s, hbar, 32, 100_000, seed=27)
+    study = gram_matrix_refinement(SU2, 1, s, hbar, 32, 100_000, seed=27)[1, 1]
     assert abs(study.target - (1.0 + 3.0 * math.exp(-s * c2 / 2.0))) < 1e-14
     z_11 = study.extrapolated_z()
     assert z_11 < 3.0

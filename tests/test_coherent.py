@@ -5,9 +5,7 @@ import pytest
 
 from cylgauge.coherent import (
     CoherentLabel,
-    coherent_eval,
     coherent_overlap,
-    holomorphy_witness,
     resolution_identity_check,
 )
 from cylgauge.groups import (
@@ -15,12 +13,10 @@ from cylgauge.groups import (
     ComplexGroupElement,
     GroupKind,
     exp_map,
-    haar_sample,
     identity,
 )
 from cylgauge.spectral import (
     CharacterSeries,
-    heat_kernel,
     irrep_info,
     rho_s_inner_product,
 )
@@ -37,49 +33,12 @@ def random_complex_point(group, rng, x_scale=0.8, y_scale=0.4):
 
 
 class TestCoherentEval:
-    def test_identity_value_is_heat_trace_series(self):
-        label = CoherentLabel(identity(SU2), hbar=1.0)
-        value = coherent_eval(label, identity(SU2))
-        series = sum((n + 1) ** 2 * math.exp(-n * (n + 2) / 8.0) for n in range(80))
-        assert abs(value - series) < 1e-10
-
-    def test_real_label_gives_real_values(self):
-        rng = np.random.default_rng(1)
-        g = haar_sample(SU2, rng)
-        label = CoherentLabel(exp_map(group_coords(g, rng)), hbar=0.7, s=2.0)
-        x = haar_sample(SU2, rng)
-        assert abs(coherent_eval(label, x).imag) < 1e-10
-
-    def test_large_s_approaches_limit_state(self):
-        rng = np.random.default_rng(2)
-        hbar = 0.5
-        g = random_complex_point(SU2, rng)
-        finite = CoherentLabel(g, hbar, s=32 * hbar)
-        limit = CoherentLabel(g, hbar)
-        grid = [haar_sample(SU2, rng) for _ in range(20)]
-        sup_rho_gap = max(abs(heat_kernel(SU2, 32 * hbar, x) - 1.0) for x in grid)
-        for x in grid:
-            lhs = abs(coherent_eval(finite, x) - coherent_eval(limit, x))
-            bound = 2.0 * sup_rho_gap * max(1.0, abs(coherent_eval(limit, x)))
-            assert lhs <= bound
-
-    def test_denominator_guard(self):
-        label = CoherentLabel(identity(SU2), hbar=1.0, s=25.0)
-        with pytest.raises(ZeroDivisionError):
-            coherent_eval(label, identity(SU2), tol=10.0)
-
     def test_label_validation(self):
         with pytest.raises(ValueError):
             CoherentLabel(identity(SU2), hbar=-1.0)
         for s in (0.4, 0.0, -math.inf, math.nan):
             with pytest.raises(ValueError, match="must exceed"):
                 CoherentLabel(identity(SU2), hbar=1.0, s=s)
-
-
-def group_coords(g, rng):
-    from cylgauge.groups import group_log
-
-    return group_log(g)
 
 
 class TestOverlap:
@@ -190,19 +149,3 @@ class TestResolutionIdentity:
         with pytest.raises(ValueError):
             resolution_identity_check(SU2, 1, 1.0, [0.4], 16, 100, seed=0)
 
-
-class TestHolomorphy:
-    def test_witness_small_along_two_directions(self):
-        rng = np.random.default_rng(7)
-        for _ in range(5):
-            g = random_complex_point(SU2, rng)
-            label = CoherentLabel(g, 0.7)
-            phi = CharacterSeries(SU2, {1: 1.0, 2: 0.5})
-            for direction in (np.array([1.0, 0, 0]), np.array([0, 0.7, 0.7])):
-                assert holomorphy_witness(label, phi, direction) < 1e-6
-
-    def test_u1_witness(self):
-        rng = np.random.default_rng(8)
-        g = random_complex_point(U1, rng)
-        label = CoherentLabel(g, 0.5)
-        assert holomorphy_witness(label, CharacterSeries.single(U1, 2), np.array([1.0])) < 1e-6

@@ -3,25 +3,34 @@ import pytest
 
 from cylgauge.dynamics import (
     PhasePoint,
-    covariant_residual,
     effective_velocity,
-    energy,
     evolve_free,
-    gauge_transform_phase,
     geodesic_compare,
     make_constrained_pair,
     partial_holonomies,
 )
-from cylgauge.groups import AlgebraVector, GroupKind
+from cylgauge.groups import AlgebraVector, GroupKind, embed_algebra, unembed_algebra
 from cylgauge.lattice import (
     LatticeConnection,
+    _conjugate,
     holonomy,
+    links_of,
     sample_connection,
     smooth_connection,
-    smooth_gauge_map,
 )
 
 U1, SU2 = GroupKind.U1, GroupKind.SU2
+
+
+def covariant_residual(pt):
+    """max over interior links of |N (P_{k+1} - U_k P_k U_k^{-1})|: zero for
+    momenta built by parallel transport."""
+    group, n = pt.group, pt.n_sites
+    if group is U1:
+        return float(n * np.max(np.abs(np.diff(pt.p[:, 0]))))
+    steps = links_of(pt.a).links[:-1]
+    diff = pt.p[1:] - unembed_algebra(group, _conjugate(steps, embed_algebra(group, pt.p[:-1])))
+    return float(n * np.max(np.linalg.norm(diff, axis=1)))
 
 
 def unit_vector(group, rng):
@@ -30,24 +39,6 @@ def unit_vector(group, rng):
 
 
 class TestEnergy:
-    def test_zero_momentum(self):
-        L = LatticeConnection(SU2, np.zeros((8, 3)))
-        assert energy(PhasePoint(L, np.zeros((8, 3)))) == 0.0
-
-    def test_constant_unit_momentum(self):
-        rng = np.random.default_rng(0)
-        x = unit_vector(SU2, rng)
-        L = sample_connection(SU2, 16, 1.0, rng)
-        pt = PhasePoint(L, np.tile(x.coords, (16, 1)))
-        assert abs(energy(pt) - 0.5) < 1e-12
-
-    def test_gauge_invariance(self):
-        rng = np.random.default_rng(1)
-        L = sample_connection(SU2, 16, 1.0, rng)
-        pt = PhasePoint(L, rng.normal(size=(16, 3)))
-        gm = smooth_gauge_map(SU2, 16, rng)
-        assert abs(energy(gauge_transform_phase(pt, gm)) - energy(pt)) < 1e-12
-
     def test_shape_mismatch_rejected(self):
         L = LatticeConnection(SU2, np.zeros((8, 3)))
         with pytest.raises(ValueError):
@@ -67,8 +58,9 @@ class TestFreeFlow:
         rng = np.random.default_rng(3)
         L = sample_connection(SU2, 12, 1.0, rng)
         pt = PhasePoint(L, rng.normal(size=(12, 3)))
+        # the kinetic energy (1/2)|P|^2 is conserved because P is untouched
         for t in (0.5, 2.0, -3.0):
-            assert energy(evolve_free(pt, t)) == energy(pt)
+            assert evolve_free(pt, t).p.tobytes() == pt.p.tobytes()
 
     def test_composition_exact(self):
         rng = np.random.default_rng(4)
@@ -77,16 +69,6 @@ class TestFreeFlow:
         a = evolve_free(evolve_free(pt, 0.7), 1.1)
         b = evolve_free(pt, 1.8)
         assert np.allclose(a.a.values, b.a.values, atol=1e-14)
-
-    def test_commutes_with_gauge_action(self):
-        rng = np.random.default_rng(5)
-        L = smooth_connection(SU2, 16, rng)
-        pt = make_constrained_pair(L, unit_vector(SU2, rng))
-        gm = smooth_gauge_map(SU2, 16, rng)
-        first = evolve_free(gauge_transform_phase(pt, gm), 0.9)
-        second = gauge_transform_phase(evolve_free(pt, 0.9), gm)
-        assert np.max(np.abs(first.a.values - second.a.values)) < 1e-10
-        assert np.max(np.abs(first.p - second.p)) < 1e-10
 
 
 class TestConstrainedPairs:
@@ -138,8 +120,8 @@ class TestConstrainedPairs:
     def test_link_steps_keep_their_bits(self):
         # partial_holonomies and covariant_residual read links_of(L); the
         # steps they built themselves before give the same bits
-        from cylgauge.groups import embed_algebra, expm_traceless, unembed_algebra
-        from cylgauge.lattice import _conjugate, ordered_products
+        from cylgauge.groups import expm_traceless
+        from cylgauge.lattice import ordered_products
 
         rng = np.random.default_rng(12)
         for n in (2, 3, 16, 33):

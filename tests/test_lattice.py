@@ -8,6 +8,7 @@ from cylgauge import cli, groups, lattice
 from cylgauge.groups import (
     AlgebraVector,
     ComplexGroupElement,
+    GroupElement,
     GroupKind,
     exp_map,
     haar_sample,
@@ -19,10 +20,6 @@ from cylgauge.lattice import (
     LatticeConnection,
     LatticeGaugeMap,
     LinkConfiguration,
-    connection_from_json,
-    connection_to_json,
-    gauge_map_between,
-    closure_defect,
     gauge_transform,
     haar_gauge_drift,
     holonomy,
@@ -32,13 +29,19 @@ from cylgauge.lattice import (
     links_of,
     ordered_products,
     pushforward_moment,
-    sample_complex_connection,
+    sample_complex_batch,
     sample_connection,
     smooth_connection,
     smooth_gauge_map,
 )
 
 U1, SU2 = GroupKind.U1, GroupKind.SU2
+
+
+def complex_connection(group, n, s, hbar, rng):
+    """One draw Z = A + iP of the complex (s, hbar) lattice Gaussian."""
+    re, im = sample_complex_batch(group, n, s, hbar, rng, 1)
+    return LatticeConnection(group, re[0] + 1j * im[0])
 
 
 def random_based_map(group, n, rng):
@@ -75,7 +78,7 @@ class TestSampling:
         s, hbar, n = 2.0, 1.0, 16
         r = 2 * s - hbar
         rng = np.random.default_rng(3)
-        draws = [sample_complex_connection(SU2, n, s, hbar, rng) for _ in range(2000)]
+        draws = [complex_connection(SU2, n, s, hbar, rng) for _ in range(2000)]
         re = np.stack([d.values.real for d in draws])
         im = np.stack([d.values.imag for d in draws])
         assert abs(re.var() - r / 2 * n) < 4 * (r / 2 * n) * math.sqrt(2.0 / re.size)
@@ -85,13 +88,13 @@ class TestSampling:
         s = 0.5
         hbar = 2 * s - 1e-9
         rng = np.random.default_rng(4)
-        d = sample_complex_connection(U1, 8, s, hbar, rng)
+        d = complex_connection(U1, 8, s, hbar, rng)
         assert np.max(np.abs(d.values.real)) < 1e-3
 
     def test_complex_holonomy_in_sl2c(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
-            z = sample_complex_connection(SU2, 16, 2.0, 1.0, rng)
+            z = complex_connection(SU2, 16, 2.0, 1.0, rng)
             h = holonomy(z)
             assert isinstance(h, ComplexGroupElement)
             assert abs(h.det() - 1.0) < 1e-9 * max(1.0, float(np.max(np.abs(h.value))) ** 2)
@@ -99,7 +102,7 @@ class TestSampling:
     def test_boundary_rejected(self):
         rng = np.random.default_rng(6)
         with pytest.raises(ValueError):
-            sample_complex_connection(SU2, 8, 0.5, 1.0, rng)
+            sample_complex_batch(SU2, 8, 0.5, 1.0, rng, 1)
         with pytest.raises(ValueError):
             sample_connection(SU2, 1, 1.0, rng)
 
@@ -140,7 +143,7 @@ class TestHolonomy:
         # the independent oracle on complexified Gaussian draws; largest
         # relative deviations over these seeds: 3.2e-4, 1.7e-5 and 9.7e-7
         for seed in range(20):
-            z = sample_complex_connection(SU2, n, 2.0, 0.7, np.random.default_rng(seed))
+            z = complex_connection(SU2, n, 2.0, 0.7, np.random.default_rng(seed))
             product, rk4 = holonomy(z).value, holonomy(z, "rk4").value
             assert np.max(np.abs(rk4 - product)) <= bound * np.max(np.abs(product))
 
@@ -154,6 +157,17 @@ class TestHolonomy:
         L = LatticeConnection(U1, np.zeros((4, 1)))
         with pytest.raises(ValueError):
             holonomy(L, "euler")
+
+
+def telescoping_map(a, b):
+    """Based gauge map carrying links a to links b when their holonomies
+    agree: g_{k+1} = b_k g_k a_k^{-1}, g_0 = e."""
+    g = identity(a.group)
+    elems = [g]
+    for k in range(a.n_sites - 1):
+        g = GroupElement(a.group, b.links[k]) * g * GroupElement(a.group, a.links[k]).inverse()
+        elems.append(g)
+    return LatticeGaugeMap(a.group, tuple(elems))
 
 
 class TestGaugeAction:
@@ -200,7 +214,7 @@ class TestGaugeAction:
         from cylgauge.groups import embed_algebra, unembed_algebra
 
         for k in range(16):
-            g = gm.element(k).value
+            g = gm.elements[k].value
             rotated = unembed_algebra(SU2, g @ embed_algebra(SU2, L.values[k]) @ g.conj().T)
             assert abs(np.linalg.norm(rotated) - np.linalg.norm(L.values[k])) < 1e-12
 
@@ -228,17 +242,9 @@ class TestGaugeAction:
                 arr = np.stack([u.value for u in links] + [closing.value])
             cfg2 = LinkConfiguration(group, arr)
             assert np.max(np.abs(np.asarray(cfg2.holonomy().value) - np.asarray(cfg1.holonomy().value))) < 1e-12
-            gm = gauge_map_between(cfg1, cfg2)
-            assert closure_defect(gm, cfg1, cfg2) < 1e-10
+            gm = telescoping_map(cfg1, cfg2)
             carried = gauge_transform(cfg1, gm, level="link")
             assert np.max(np.abs(carried.links - cfg2.links)) < 1e-10
-
-    def test_unequal_holonomy_leaves_closure_defect(self):
-        rng = np.random.default_rng(16)
-        a = links_of(sample_connection(SU2, 10, 1.0, rng))
-        b = links_of(sample_connection(SU2, 10, 1.0, rng))
-        gm = gauge_map_between(a, b)
-        assert closure_defect(gm, a, b) > 1e-3
 
 
 def old_project_unitary(value):
@@ -438,33 +444,6 @@ class TestPushforward:
         assert a.mean == b.mean and a.std_error == b.std_error
 
 
-class TestSerialization:
-    def test_real_roundtrip(self):
-        rng = np.random.default_rng(17)
-        L = sample_connection(SU2, 8, 1.0, rng)
-        back = connection_from_json(connection_to_json(L))
-        assert isinstance(back, LatticeConnection)
-        assert np.array_equal(back.values, L.values)
-
-    def test_complex_roundtrip(self):
-        rng = np.random.default_rng(18)
-        z = sample_complex_connection(U1, 8, 1.0, 0.5, rng)
-        back = connection_from_json(connection_to_json(z))
-        assert isinstance(back, LatticeConnection)
-        assert np.array_equal(back.values.real, z.values.real)
-        assert np.array_equal(back.values.imag, z.values.imag)
-
-    def test_replayed_configuration_reproduces_holonomy(self):
-        rng = np.random.default_rng(19)
-        L = sample_connection(SU2, 16, 1.0, rng)
-        back = connection_from_json(connection_to_json(L))
-        assert np.max(np.abs(holonomy(back).value - holonomy(L).value)) == 0.0
-
-    def test_corrupt_document_rejected(self):
-        with pytest.raises(ValueError):
-            connection_from_json('{"group": "su2", "n_sites": 4, "values": [[0,0,0]]}')
-
-
 class TestOneConnectionType:
     """Real and complex connections share LatticeConnection; complex values
     hold Z = A + iP and select the complexified holonomy."""
@@ -488,27 +467,11 @@ class TestOneConnectionType:
         L = sample_connection(SU2, 33, 1.7, np.random.default_rng(30))
         assert L.norm_sq().hex() == float(np.sum(L.values**2) / 33).hex()
 
-    def test_json_text_pinned(self):
-        real = LatticeConnection(SU2, [[0.1, -0.2, 0.3], [1.5, 0.0, -2.25]])
-        z = LatticeConnection(U1, np.array([[0.5], [-1.25], [1e-17]]) + 1j * np.array([[0.75], [0.0], [-3.0]]))
-        assert connection_to_json(real) == (
-            '{"group": "su2", "n_sites": 2, "values": [[0.1, -0.2, 0.3], [1.5, 0.0, -2.25]]}'
-        )
-        assert connection_to_json(z) == (
-            '{"group": "u1", "n_sites": 3, "values": [[0.5], [-1.25], [1e-17]], '
-            '"imag_values": [[0.75], [0.0], [-3.0]]}'
-        )
-        assert connection_from_json(connection_to_json(z)).values.tobytes() == z.values.tobytes()
-
-    def test_misaligned_imaginary_part_rejected(self):
-        with pytest.raises(ValueError, match="aligned"):
-            connection_from_json('{"group": "u1", "n_sites": 2, "values": [[0.0], [1.0]], "imag_values": [[0.0]]}')
-
     @pytest.mark.parametrize("level", ["link", "algebra"])
     def test_gauge_transform_rejects_complex_values(self, level):
         rng = np.random.default_rng(31)
         for group in (U1, SU2):
-            z = sample_complex_connection(group, 6, 2.0, 1.0, rng)
+            z = complex_connection(group, 6, 2.0, 1.0, rng)
             with pytest.raises(ValueError, match="real connections"):
                 gauge_transform(z, random_based_map(group, 6, rng), level=level)
 
@@ -527,7 +490,7 @@ class TestOneConnectionType:
             rng = np.random.default_rng(seed)
             for n in (2, 7, 32):
                 L = sample_connection(group, n, 1.3, rng)
-                z = sample_complex_connection(group, n, 2.0, 0.7, rng)
+                z = complex_connection(group, n, 2.0, 0.7, rng)
                 for arr in (L.values, holonomy(L).value, z.values):
                     draws.update(np.ascontiguousarray(arr).tobytes())
                 complex_holonomies.update(np.ascontiguousarray(holonomy(z).value).tobytes())

@@ -10,21 +10,20 @@ from cylgauge.lattice import (
     LatticeConnection,
     _coupled_levels,
     _gaussian_draw,
+    coarsen_coords,
     holonomy,
+    pushforward_moment,
     smooth_connection,
 )
-from cylgauge.montecarlo import chunked_mc
+from cylgauge.montecarlo import MCEstimate, chunked_mc
 from cylgauge.reduction import (
     FDStepError,
-    coarsen_coords,
     gram_isometry_check,
     gram_matrix_refinement,
-    gram_refinement,
     laplacian_reduction_check,
     lattice_laplacian,
     pushforward_refinement,
     radial_laplacian_check,
-    refinement_study,
     semigroup_reduction_check,
     submersion_check,
 )
@@ -127,11 +126,11 @@ class TestSemigroupReduction:
         def draw(rng, m):
             return rng.normal(scale=math.sqrt(hbar * n_fine), size=(m, n_fine, 3))
 
-        def value(traces):
-            return su2_characters_from_traces(1, traces)[1]
+        def columns(traces):
+            return [su2_characters_from_traces(1, traces)[1]]
 
-        study = refinement_study(
-            SU2, draw, value, flowed_targets, n_fine, 2, 150_000, seed=44, bases=bases
+        (study,) = _coupled_levels(
+            SU2, draw, columns, [flowed_targets], n_fine, 150_000, seed=44, bases=bases
         )
         assert study.extrapolated_z() < 3.0
 
@@ -163,14 +162,14 @@ class TestGramIsometry:
         assert abs(by_name["gram[1,1]"].target - (1.0 + 3.0 * math.exp(-s * c2 / 2.0))) < 1e-12
 
     def test_su2_refined_entry_within_three_sigma(self):
-        study = gram_refinement(SU2, 1, 1, 2.0, 0.5, 32, 150_000, seed=4)
+        study = gram_matrix_refinement(SU2, 1, 2.0, 0.5, 32, 150_000, seed=4)[1, 1]
         assert study.extrapolated_z() < 3.0
 
     def test_u1_negative_label_entry(self):
         # chi_{-1} is the conjugate of chi_1, not a row counted from the end
-        study = gram_refinement(U1, -1, 1, 2.0, 0.5, 16, 20_000, seed=5, n_levels=2)
-        assert abs(study.target - math.exp(-2.0 * 4 / 2.0)) < 1e-12
-        assert study.estimates[0].z_score(study.target) < 4.0
+        est, target = pushforward_moment(U1, -1, 2.0, 16, 20_000, seed=5)
+        assert abs(target - math.exp(-1.0)) < 1e-12
+        assert est.z_score(target) < 4.0
 
     def test_boundary_rejected(self):
         with pytest.raises(ValueError):
@@ -229,27 +228,31 @@ class TestBiasOrder:
 
 class TestCoupledLevels:
     @staticmethod
-    def run(n_columns, n_levels):
+    def run(n_columns, n_levels, n_fine=16):
         def columns(traces):
             chars = su2_characters_from_traces(n_columns, traces)
             return [chars[k + 1] for k in range(n_columns)]
 
+        targets = [(float(k + 2),) * n_levels for k in range(n_columns)]
         return _coupled_levels(
-            SU2, _gaussian_draw(SU2, 16, 1.0), columns, n_columns, n_levels, 2000, seed=6
+            SU2, _gaussian_draw(SU2, n_fine, 1.0), columns, targets, n_fine, 2000, seed=6
         )
 
     @pytest.mark.parametrize("n_columns", [1, 3])
     @pytest.mark.parametrize("n_levels", [1, 2, 3])
     def test_estimate_count(self, n_columns, n_levels):
-        ests = self.run(n_columns, n_levels)
-        extra = n_columns if n_levels > 1 else 0
-        assert len(ests) == n_columns * n_levels + extra
+        studies = self.run(n_columns, n_levels)
+        assert len(studies) == n_columns
+        for k, study in enumerate(studies):
+            assert study.n_sites == (16, 8, 4)[:n_levels]
+            assert len(study.estimates) == n_levels
+            assert study.targets == (complex(k + 2),) * n_levels
+            assert (study.extrapolated is None) == (n_levels == 1)
 
     def test_richardson_columns_follow_the_levels(self):
-        ests = self.run(2, 3)
-        fine, half, richardson = ests[0:2], ests[2:4], ests[6:8]
-        for f, h, r in zip(fine, half, richardson):
-            assert abs(r.mean - (2.0 * f.mean - h.mean)) < 1e-12
+        for study in self.run(2, 3):
+            fine, half = study.estimates[:2]
+            assert abs(study.extrapolated.mean - (2.0 * fine.mean - half.mean)) < 1e-12
 
     def test_one_level_study_has_no_extrapolation(self):
         study = pushforward_refinement(SU2, 1, 1.0, 16, 2000, seed=1, n_levels=1)
@@ -264,12 +267,34 @@ class TestCoupledLevels:
         assert sorted(studies) == [(0, 0), (0, 1), (1, 1)]
         assert all(len(st.estimates) == 1 and st.extrapolated is None for st in studies.values())
 
+    @pytest.mark.parametrize("n_fine, n_levels", [(15, 2), (16, 0)])
+    @pytest.mark.parametrize("consumer", [
+        lambda n, levels: pushforward_refinement(SU2, 1, 1.0, n, 100, 1, n_levels=levels),
+        lambda n, levels: gram_matrix_refinement(SU2, 1, 2.0, 0.5, n, 100, 1, n_levels=levels),
+    ], ids=["pushforward_refinement", "gram_matrix_refinement"])
+    def test_bad_levels_rejected_before_drawing(self, consumer, n_fine, n_levels, monkeypatch):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("drew samples before checking the levels")
+
+        monkeypatch.setattr(lattice, "chunked_mc_vector", no_draw)
+        with pytest.raises(ValueError, match=r"n_levels must be at least 1 and n_fine divisible"):
+            consumer(n_fine, n_levels)
+
     def test_benchmark_bound_names(self):
         # the benchmark calls these by name and reads n_samples by keyword
         for fn in (pushforward_refinement, gram_matrix_refinement):
             params = inspect.signature(fn).parameters
             assert {"n_samples", "n_levels", "n_workers"} <= set(params)
-        assert callable(lattice.pushforward_moment)
+        # bench/workloads.py::_check_study reads these fields of each study
+        studies = [pushforward_refinement(SU2, 1, 1.0, 16, 200, seed=1, n_levels=2)]
+        studies += gram_matrix_refinement(SU2, 1, 2.0, 0.5, 16, 200, seed=1).values()
+        for study in studies:
+            assert len(study.n_sites) == len(study.estimates) == len(study.targets) == 2
+            assert all(isinstance(e, MCEstimate) for e in study.estimates)
+            assert isinstance(study.extrapolated, MCEstimate)
+        # and unpacks lattice.pushforward_moment as (estimate, target)
+        est, target = lattice.pushforward_moment(U1, 1, 1.0, 16, 200, seed=1)
+        assert isinstance(est, MCEstimate) and abs(target - math.exp(-0.5)) < 1e-14
 
 
 class TestRadialLaplacian:
