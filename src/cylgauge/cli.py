@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import json
 import math
 import os
@@ -479,6 +480,7 @@ def _resolve_options(command: str, cli_values: dict, config_section) -> dict:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache  # built once per process; each parse_args call fills a new namespace
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cylgauge",

@@ -15,6 +15,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import cmath
+import contextlib
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -172,23 +173,52 @@ class ComplexGroupElement:
         self._staleness = _staleness
         self._validate()
 
+    @classmethod
+    def _checked(cls, group: GroupKind, value, staleness: int = 0):
+        """Validated element of a value the class formed itself: no coercion."""
+        g = cls.__new__(cls)
+        g.group, g.value, g._staleness = group, value, staleness
+        g._validate()
+        return g
+
     def _validate(self):
+        # one pass, in Python complexes (numpy's per-call overhead on 2x2 arrays
+        # would dominate every product), accepts a value within tol: every
+        # comparison is False on NaN or inf, so passing implies finite entries
+        tol, v = self._validate_tol, self.value
         if self.group is GroupKind.U1:
-            if self.value == 0 or not cmath.isfinite(self.value):
+            try:
+                if abs(abs(v) - 1.0) <= tol if self._unitary else v != 0 and cmath.isfinite(v):
+                    return
+            except OverflowError:  # |v| beyond the double range
+                pass
+            if v == 0 or not cmath.isfinite(v):
                 raise ValueError("U(1)-side elements must be finite and nonzero")
-            defect = abs(abs(self.value) - 1.0) if self._unitary else 0.0
-        else:
-            # Python complexes: numpy's per-call overhead on 2x2 arrays would
-            # dominate every product
-            (a, b), (c, d) = self.value.tolist()
-            if not all(map(cmath.isfinite, (a, b, c, d))):
-                raise ValueError("matrix entries must be finite")
-            # det cancellation error grows with the entry scale
-            scale = max(1.0, max(abs(a), abs(b), abs(c), abs(d)) ** 2)
-            if abs(a * d - b * c - 1.0) > self._validate_tol * scale:
-                raise ValueError("SL(2,C) elements must have determinant 1")
-            defect = _su2_unitarity_defect(a, b, c, d) if self._unitary else 0.0
-        if defect > self._validate_tol:
+            raise ValueError("group element is not unitary")
+        (a, b), (c, d) = v.tolist()
+        try:  # the det error, then the three terms of unitarity_defect
+            if abs(a * d - b * c - 1.0) <= tol and (not self._unitary or (
+                abs(a.real * a.real + a.imag * a.imag + c.real * c.real + c.imag * c.imag - 1.0) <= tol
+                and abs(b.real * b.real + b.imag * b.imag + d.real * d.real + d.imag * d.imag - 1.0) <= tol
+                and abs(a.conjugate() * b + c.conjugate() * d) <= tol
+            )):
+                return
+        except OverflowError:  # a modulus beyond the double range
+            pass
+        # a failing value: the ordered checks name the first check it fails
+        if not all(map(cmath.isfinite, (a, b, c, d))):
+            raise ValueError("matrix entries must be finite")
+        m = err = math.inf  # where a modulus overflows; at m = inf no verdict reads err
+        with contextlib.suppress(OverflowError):
+            m = max(1.0, abs(a), abs(b), abs(c), abs(d))
+            err = abs(a * d - b * c - 1.0)
+        # det cancellation error grows with the entry scale m * m
+        if not (self._unitary or math.isfinite(err + m * m)):
+            raise OverflowError("SL(2,C) determinant check overflows double precision")
+        if err > tol * (m * m):
+            raise ValueError("SL(2,C) elements must have determinant 1")
+        # entries beyond 2 leave a defect above 3, which might overflow
+        if self._unitary and not (m <= 2.0 and self.unitarity_defect() <= tol):
             raise ValueError("group element is not unitary")
 
     def det(self) -> complex:
@@ -202,28 +232,27 @@ class ComplexGroupElement:
         return complex(self.value[0, 0] + self.value[1, 1])
 
     def unitarity_defect(self) -> float:
+        """Largest entry of |V* V - I|; the off-diagonal pair are conjugates."""
         if self.group is GroupKind.U1:
             return abs(abs(self.value) - 1.0)
         (a, b), (c, d) = self.value.tolist()
-        return _su2_unitarity_defect(a, b, c, d)
+        col0 = a.real * a.real + a.imag * a.imag + c.real * c.real + c.imag * c.imag
+        col1 = b.real * b.real + b.imag * b.imag + d.real * d.real + d.imag * d.imag
+        return max(abs(col0 - 1.0), abs(col1 - 1.0), abs(a.conjugate() * b + c.conjugate() * d))
 
     def inverse(self) -> "ComplexGroupElement":
         if self.group is GroupKind.U1:
-            return type(self)(self.group, 1.0 / self.value)
+            return self._checked(self.group, 1.0 / self.value)
         if self._unitary:
-            return type(self)(self.group, self.value.conj().T)
+            return self._checked(self.group, self.value.conj().T)
         m = self.value
         adj = np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]])
-        return type(self)(self.group, adj / _det2(m))
+        return self._checked(self.group, adj / _det2(m))
 
     def __mul__(self, other: "ComplexGroupElement") -> "ComplexGroupElement":
         if self.group is not other.group:
             raise ValueError("cannot multiply elements of different groups")
-        cls = (
-            GroupElement
-            if isinstance(self, GroupElement) and isinstance(other, GroupElement)
-            else ComplexGroupElement
-        )
+        cls = GroupElement if self._unitary and other._unitary else ComplexGroupElement
         if self.group is GroupKind.U1:
             value = self.value * other.value
         else:
@@ -235,21 +264,13 @@ class ComplexGroupElement:
             else:
                 value = _project_det_one(value, self.group)
             staleness = 0
-        return cls(self.group, value, _staleness=staleness)
+        return cls._checked(self.group, value, staleness)
 
     def isclose(self, other: "ComplexGroupElement", tol: float = 1e-10) -> bool:
         return bool(np.max(np.abs(np.asarray(self.value) - np.asarray(other.value))) <= tol)
 
     def __repr__(self):
         return f"{type(self).__name__}({self.group.value}, {self.value!r})"
-
-
-def _su2_unitarity_defect(a: complex, b: complex, c: complex, d: complex) -> float:
-    """Largest entry of |V* V - I| for V = [[a, b], [c, d]]; the
-    off-diagonal pair are conjugates."""
-    col0 = a.real * a.real + a.imag * a.imag + c.real * c.real + c.imag * c.imag
-    col1 = b.real * b.real + b.imag * b.imag + d.real * d.real + d.imag * d.imag
-    return max(abs(col0 - 1.0), abs(col1 - 1.0), abs(a.conjugate() * b + c.conjugate() * d))
 
 
 class GroupElement(ComplexGroupElement):
@@ -259,6 +280,7 @@ class GroupElement(ComplexGroupElement):
     _unitary = True
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflow reads as inf, and fails
 def validate_values(group: GroupKind, values: np.ndarray) -> np.ndarray:
     """GroupElement's checks, with its tolerance and messages, over a stack
     of K values: (...,) for U1, (..., 2, 2) for SU2.  Returns values."""
@@ -278,7 +300,7 @@ def validate_values(group: GroupKind, values: np.ndarray) -> np.ndarray:
         col0, col1 = sq[..., 0, 0] + sq[..., 1, 0], sq[..., 0, 1] + sq[..., 1, 1]
         off = np.abs(a.conj() * b + c.conj() * d)
         defect = np.maximum(np.maximum(np.abs(col0 - 1.0), np.abs(col1 - 1.0)), off)
-    if np.any(defect > tol):
+    if not np.all(defect <= tol):  # a NaN defect fails too
         raise ValueError("group element is not unitary")
     return values
 

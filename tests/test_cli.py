@@ -213,6 +213,28 @@ class TestConfigHandling:
         assert code == EXIT_CONFIG
 
 
+def test_cached_parser_keeps_no_parsed_state(monkeypatch):
+    """main parses with one parser per process; each call must see only its
+    own command and flags."""
+    seen = []
+    monkeypatch.setattr(cli, "_run_single", lambda command, values: seen.append((command, values)) or EXIT_OK)
+    calls = [
+        ["euclid-unitarity", "--c-limit", "--s", "75", "--seed", "3"],
+        ["polar-check", "--group", "u1", "--format", "json"],
+        ["euclid-unitarity"],
+        ["pushforward", "--samples", "50", "--links", "4"],
+    ]
+    for argv in calls:
+        assert main(argv) == EXIT_OK
+    assert cli._build_parser() is cli._build_parser()
+    (c1, v1), (c2, v2), (c3, v3), (c4, v4) = seen
+    assert (c1, v1["c_limit"], v1["s"], v1["seed"]) == ("euclid-unitarity", True, 75.0, 3)
+    assert c2 == "polar-check" and (v2["group"], v2["format"]) == ("u1", "json")
+    assert set(v2) == set(cli.COMMANDS["polar-check"].keys)
+    assert c3 == "euclid-unitarity" and set(v3) == set(v1) and all(v is None for v in v3.values())
+    assert (c4, v4["samples"], v4["links"], v4["group"], v4["seed"]) == ("pushforward", 50, 4, None, None)
+
+
 def test_readme_commands_are_table_keys():
     assert {line.split()[1] for line in readme_commands()} <= set(cli.COMMANDS)
 

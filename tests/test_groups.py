@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -165,6 +166,35 @@ class TestProducts:
     def test_mixed_groups_rejected(self):
         with pytest.raises(ValueError):
             identity(U1) * identity(SU2)
+
+    # sha256 of the values and staleness along each chain and of the inverses,
+    # computed when every product still went through __init__'s coercion
+    CHAIN_DIGESTS = {
+        "su2": "99c70e3988d8a63002c31d50225aa97b311798aaf7c8df259f47d1ad74d00d56",
+        "sl2c": "d1bc93e3cc68ee3683e0124cb102dd7d5783765df5a0468b52d1a4779d264bf5",
+        "u1": "04d92f1ed64b82b65be5e865645ce6364bbe7be49eacbc24a2fe6a45ff284aec",
+        "cstar": "64542f2c2a4847d5f1608e3c18a97e760d91da4815f9eb4572584fcf989eb47c",
+    }
+
+    @pytest.mark.parametrize("name", sorted(CHAIN_DIGESTS))
+    def test_product_chain_bits(self, name):
+        # 200 factors cross the reprojection at 64, 128 and 192
+        group = SU2 if name in ("su2", "sl2c") else U1
+        rng = np.random.default_rng(17)
+        digest = hashlib.sha256()
+        g = identity(group)
+        for _ in range(200):
+            x = AlgebraVector(group, rng.normal(scale=0.3, size=group.algebra_dim))
+            y = None
+            if name in ("sl2c", "cstar"):
+                y = AlgebraVector(group, rng.normal(scale=0.05, size=group.algebra_dim))
+            g = exp_map(x, y) * g
+            inv = g.inverse()
+            assert type(inv) is type(g)
+            for v in (g.value, inv.value):
+                digest.update(np.asarray(v, dtype=complex).tobytes())
+            digest.update(g._staleness.to_bytes(1, "little"))
+        assert digest.hexdigest() == self.CHAIN_DIGESTS[name]
 
     def test_stacked_projection_matches_scalar_formula(self):
         # the 2x2 projection as it was before it took stacked input: det by
