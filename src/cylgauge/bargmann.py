@@ -151,9 +151,7 @@ class GramCheckResult:
     max_deviation: float
 
 
-def s_transform_gram_check(
-    params: HeatParams, basis_degree: int, n_nodes: int = 64
-) -> GramCheckResult:
+def s_transform_gram_check(params: HeatParams, basis_degree: int) -> GramCheckResult:
     """Unitarity check on the span of monomials of degree <= basis_degree.
 
     The domain Gram is taken in L2(R, P_s); each basis element is then heat
@@ -166,6 +164,7 @@ def s_transform_gram_check(
         raise ValueError("basis_degree must lie in 0..8")
     basis = _normalized_monomials(basis_degree, params.s)
 
+    n_nodes = 64
     q, wq = gauss_hermite_probabilist(n_nodes, params.s)
     vals = np.array([P.polyval(q, c) for c in basis])
     gram_domain = np.einsum("i,ai,bi->ab", wq, vals.conj(), vals)
@@ -191,9 +190,7 @@ def _damped_monomials(degree: int) -> list[Callable[[np.ndarray], np.ndarray]]:
     return [lambda q, j=j: q**j * np.exp(-(q**2) / 2.0) for j in range(degree + 1)]
 
 
-def c_limit_gram_check(
-    hbar: float, s: float, degree: int = 1, n_nodes: int = 48, n_sample_nodes: int = 192
-) -> dict:
+def c_limit_gram_check(hbar: float, s: float) -> dict:
     """Distance between the variance-s Grams (rescaled by (2 pi s)^(1/2))
     and their flat-measure counterparts.  Both deviations shrink like 1/s.
 
@@ -202,8 +199,9 @@ def c_limit_gram_check(
     by quadrature since the basis is no longer polynomial.
     """
     params = HeatParams(s, hbar)
-    funcs = _damped_monomials(degree)
-    sampled = [SampledFunction1D.from_callable(f, 1.0, n_sample_nodes) for f in funcs]
+    funcs = _damped_monomials(1)
+    sampled = [SampledFunction1D.from_callable(f, 1.0, 192) for f in funcs]
+    n_nodes = 48
 
     q, wq = gauss_hermite_lebesgue(n_nodes, 1.0)
     fvals = np.array([f(q) for f in funcs])

@@ -509,16 +509,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_section(path: Optional[str], section: str):
-    if path is None:
-        return None
+def _read_config(path: str) -> dict:
+    """{section: {key: raw value}} of an INI file, read once."""
     parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
+    if not parser.read(path):
         raise ConfigError(f"cannot read config file {path!r}")
-    if parser.has_section(section):
-        return dict(parser.items(section))
-    return None
+    return {section: dict(parser.items(section)) for section in parser.sections()}
 
 
 def _emit(report: Report, fmt: str, output: Optional[str]):
@@ -556,17 +552,14 @@ def _run(command: str, cli_values: dict, section, output_stem: Optional[str] = N
 
 
 def _run_single(command: str, cli_values: dict) -> int:
-    section = _load_section(cli_values.pop("config", None), command)
+    path = cli_values.pop("config", None)
+    section = None if path is None else _read_config(path).get(command)
     return _run(command, cli_values, section)
 
 
 def _run_batch(config_file: str, output_dir: Optional[str]) -> int:
-    parser = configparser.ConfigParser()
-    if not parser.read(config_file):
-        raise ConfigError(f"cannot read config file {config_file!r}")
     worst = EXIT_OK
-    for section in parser.sections():
-        values = dict(parser.items(section))
+    for section, values in _read_config(config_file).items():
         command = values.pop("command", section)
         if command not in COMMANDS:
             raise ConfigError(f"section [{section}]: unknown command {command!r}")

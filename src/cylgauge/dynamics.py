@@ -84,23 +84,22 @@ def make_constrained_pair(L: LatticeConnection, x0: AlgebraVector) -> PhasePoint
     return PhasePoint(L, unembed_algebra(group, _conjugate(transports, x0.embed())))
 
 
-def effective_velocity(pt: PhasePoint, eps: float = 1e-5) -> AlgebraVector:
-    """X_eff = log(h(A)^{-1} h(A + eps P)) / eps, the initial holonomy
-    velocity in the group."""
+def effective_velocity(pt: PhasePoint) -> AlgebraVector:
+    """X_eff = log(h(A)^{-1} h(A + eps P)) / eps, eps = 1e-5, the initial
+    holonomy velocity in the group."""
+    eps = 1e-5
     h0 = holonomy(pt.a)
     h_eps = holonomy(evolve_free(pt, eps).a)
     return (1.0 / eps) * group_log(h0.inverse() * h_eps)
 
 
-def geodesic_compare(
-    pt: PhasePoint, t_grid: Sequence[float], eps: float = 1e-5
-) -> tuple:
+def geodesic_compare(pt: PhasePoint, t_grid: Sequence[float]) -> tuple:
     """Deviation of the evolved holonomy from the group geodesic.
 
     Returns (max deviation, per-time deviations) of
     dist(h(A + tP), h(A) exp(t X_eff)) over the grid.
     """
-    x_eff = effective_velocity(pt, eps)
+    x_eff = effective_velocity(pt)
     h0 = holonomy(pt.a)
     devs = []
     for t in t_grid:

@@ -161,7 +161,7 @@ class ComplexGroupElement:
     _unitary = False
     _validate_tol = 1e-8
 
-    def __init__(self, group: GroupKind, value, _staleness: int = 0):
+    def __init__(self, group: GroupKind, value):
         self.group = group
         if group is GroupKind.U1:
             value = complex(value)
@@ -170,7 +170,7 @@ class ComplexGroupElement:
             if value.shape != (2, 2):
                 raise ValueError("SU2-side elements are 2x2 complex matrices")
         self.value = value
-        self._staleness = _staleness
+        self._staleness = 0
         self._validate()
 
     @classmethod
@@ -232,13 +232,17 @@ class ComplexGroupElement:
         return complex(self.value[0, 0] + self.value[1, 1])
 
     def unitarity_defect(self) -> float:
-        """Largest entry of |V* V - I|; the off-diagonal pair are conjugates."""
-        if self.group is GroupKind.U1:
-            return abs(abs(self.value) - 1.0)
-        (a, b), (c, d) = self.value.tolist()
-        col0 = a.real * a.real + a.imag * a.imag + c.real * c.real + c.imag * c.imag
-        col1 = b.real * b.real + b.imag * b.imag + d.real * d.real + d.imag * d.imag
-        return max(abs(col0 - 1.0), abs(col1 - 1.0), abs(a.conjugate() * b + c.conjugate() * d))
+        """Largest entry of |V* V - I|; the off-diagonal pair are conjugates.
+        A modulus beyond the double range reads as inf, as in _validate."""
+        try:
+            if self.group is GroupKind.U1:
+                return abs(abs(self.value) - 1.0)
+            (a, b), (c, d) = self.value.tolist()
+            col0 = a.real * a.real + a.imag * a.imag + c.real * c.real + c.imag * c.imag
+            col1 = b.real * b.real + b.imag * b.imag + d.real * d.real + d.imag * d.imag
+            return max(abs(col0 - 1.0), abs(col1 - 1.0), abs(a.conjugate() * b + c.conjugate() * d))
+        except OverflowError:
+            return math.inf
 
     def inverse(self) -> "ComplexGroupElement":
         if self.group is GroupKind.U1:
@@ -416,8 +420,8 @@ def polar_decompose(g: ComplexGroupElement) -> PolarCoordinates:
         x = GroupElement(group, g.value / r)
         return PolarCoordinates(x, AlgebraVector(group, np.array([-math.log(r)])))
     u, sigma, vh = np.linalg.svd(g.value)
-    if sigma[-1] < 1e-12 * sigma[0]:
-        raise ValueError("positive factor is numerically singular")
+    if sigma[-1] < 1e-12 * sigma[0]:  # a numerical failure, not a bad argument
+        raise np.linalg.LinAlgError("positive factor is numerically singular")
     x_val = _project_unitary(u @ vh, group)
     v = vh.conj().T
     xi = (v * np.log(sigma)) @ vh  # self-adjoint log of the positive factor
@@ -471,13 +475,6 @@ def _su2_sample_batch(rng: np.random.Generator, n: int) -> np.ndarray:
     return out
 
 
-def _u1_grid(level: int):
-    angles = 2.0 * math.pi * np.arange(level) / level
-    values = np.exp(1j * angles)
-    weights = np.full(level, 1.0 / level)
-    return values, weights
-
-
 def _gl_nodes(n: int, a: float, b: float):
     x, w = np.polynomial.legendre.leggauss(n)
     return 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
@@ -518,15 +515,23 @@ class QuadratureResult:
     error: float
 
 
-def _haar_quadrature(group: GroupKind, f, level: int, class_function: bool) -> complex:
+def _haar_grid(group: GroupKind, level: int, class_function: bool):
+    """Quadrature nodes as (values, weights): (Q,) unit complex numbers for
+    U1, (Q, 2, 2) matrices for SU2 on the Euler-angle grid, or on the
+    eigenvalue-angle grid when class_function."""
     if group is GroupKind.U1:
-        values, weights = _u1_grid(level)
-    elif class_function:
-        thetas, weights = su2_weyl_grid(level)
-        values = np.zeros((thetas.size, 2, 2), dtype=complex)
-        values[:, 0, 0], values[:, 1, 1] = np.exp(1j * thetas), np.exp(-1j * thetas)
-    else:
-        values, weights = su2_euler_grid(level)
+        angles = 2.0 * math.pi * np.arange(level) / level
+        return np.exp(1j * angles), np.full(level, 1.0 / level)
+    if not class_function:
+        return su2_euler_grid(level)
+    thetas, weights = su2_weyl_grid(level)
+    values = np.zeros((thetas.size, 2, 2), dtype=complex)
+    values[:, 0, 0], values[:, 1, 1] = np.exp(1j * thetas), np.exp(-1j * thetas)
+    return values, weights
+
+
+def _haar_quadrature(group: GroupKind, f, level: int, class_function: bool) -> complex:
+    values, weights = _haar_grid(group, level, class_function)
     total = 0.0 + 0.0j
     for g, w in zip(_elements(group, validate_values(group, values)), weights):
         total += w * f(g)

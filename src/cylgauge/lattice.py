@@ -255,10 +255,9 @@ def holonomy_batch(group: GroupKind, coords: np.ndarray) -> np.ndarray:
 
 def holonomy_traces(group: GroupKind, coords: np.ndarray) -> np.ndarray:
     """Batch holonomy reduced to traces (U1: the element values themselves)."""
-    coords = np.asarray(coords)
     if group is GroupKind.U1:
-        return np.exp(1j * coords[..., 0].mean(axis=1))
-    return 2.0 * _holonomy_quats(coords, w_only=True)[0].astype(complex)
+        return holonomy_batch(group, coords)
+    return 2.0 * _holonomy_quats(np.asarray(coords), w_only=True)[0].astype(complex)
 
 
 def _element_from_matrix(group: GroupKind, value, real: bool):
@@ -580,36 +579,30 @@ def pushforward_moment(
 # ---------------------------------------------------------------------------
 
 
+SMOOTH_MODES = 3  # Fourier modes of the smooth profiles
+
+
 def smooth_connection(
-    group: GroupKind,
-    n_sites: int,
-    rng: np.random.Generator,
-    n_modes: int = 3,
-    amplitude: float = 1.0,
+    group: GroupKind, n_sites: int, rng: np.random.Generator, amplitude: float = 1.0
 ) -> LatticeConnection:
     """Low-frequency random connection: trigonometric polynomial sampled at
     the sites, so refinements at different N share the underlying profile."""
-    coeffs = rng.normal(size=(2, n_modes, group.algebra_dim)) * amplitude
+    coeffs = rng.normal(size=(2, SMOOTH_MODES, group.algebra_dim)) * amplitude
     tau = np.arange(n_sites) / n_sites
     values = np.zeros((n_sites, group.algebra_dim))
-    for m in range(n_modes):
+    for m in range(SMOOTH_MODES):
         phase = 2.0 * math.pi * (m + 1) * tau
         values += np.cos(phase)[:, None] * coeffs[0, m] + np.sin(phase)[:, None] * coeffs[1, m]
     return LatticeConnection(group, values)
 
 
-def smooth_gauge_map(
-    group: GroupKind,
-    n_sites: int,
-    rng: np.random.Generator,
-    n_modes: int = 3,
-    amplitude: float = 0.5,
-) -> LatticeGaugeMap:
-    """Smooth based loop g(tau) = exp(f(tau)) with f(0) = f(1) = 0."""
-    coeffs = rng.normal(size=(n_modes, group.algebra_dim)) * amplitude
+def smooth_gauge_map(group: GroupKind, n_sites: int, rng: np.random.Generator) -> LatticeGaugeMap:
+    """Smooth based loop g(tau) = exp(f(tau)) with f(0) = f(1) = 0, Fourier
+    amplitudes of scale 0.5."""
+    coeffs = rng.normal(size=(SMOOTH_MODES, group.algebra_dim)) * 0.5
     tau = np.arange(n_sites) / n_sites
     f = np.zeros((n_sites, group.algebra_dim))
-    for m in range(n_modes):
+    for m in range(SMOOTH_MODES):
         f += np.sin(2.0 * math.pi * (m + 1) * tau)[:, None] * coeffs[m]
     if group is GroupKind.U1:
         values = np.exp(1j * f[:, 0])

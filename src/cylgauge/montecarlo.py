@@ -100,15 +100,11 @@ def chunked_mc_vector(
 
 
 def chunked_mc(
-    sampler: Callable[[np.random.Generator, int], np.ndarray],
-    n_samples: int,
-    seed: int,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
-    n_workers: Optional[int] = None,
+    sampler: Callable[[np.random.Generator, int], np.ndarray], n_samples: int, seed: int
 ) -> MCEstimate:
-    """Scalar version: sampler(rng, m) returns m complex values."""
+    """Scalar version, in one thread: sampler(rng, m) returns m complex values."""
 
     def vec_sampler(rng: np.random.Generator, m: int) -> np.ndarray:
         return np.asarray(sampler(rng, m), dtype=complex).reshape(m, 1)
 
-    return chunked_mc_vector(vec_sampler, 1, n_samples, seed, chunk_size, n_workers)[0]
+    return chunked_mc_vector(vec_sampler, 1, n_samples, seed)[0]

@@ -75,10 +75,7 @@ def lattice_laplacian(
 
 
 def laplacian_reduction_check(
-    phi: CharacterSeries,
-    L: LatticeConnection,
-    fd_step: Optional[float] = None,
-    tol: Optional[float] = None,
+    phi: CharacterSeries, L: LatticeConnection, fd_step: Optional[float] = None
 ) -> Report:
     """Compare the lattice Laplacian of phi(h(A)) with (Delta_K phi)(h(A)).
 
@@ -107,12 +104,7 @@ def laplacian_reduction_check(
     )
     target = evaluate_series(lap_series, h_elem)
 
-    if tol is None:
-        tol = (
-            1e-6 * max(1.0, abs(target))
-            if group is GroupKind.U1
-            else 8.0 / L.n_sites * max(1.0, abs(target))
-        )
+    tol = (1e-6 if group is GroupKind.U1 else 8.0 / L.n_sites) * max(1.0, abs(target))
     row = ReportRow.deterministic("lattice_laplacian", estimate, target, tol)
     return Report(
         command="laplacian-check",
@@ -204,31 +196,19 @@ def gram_isometry_check(
 def radial_laplacian_check(
     f: Callable[[float], float],
     r_points: Sequence[float],
-    fd_step: float = 1e-4,
-    f_prime: Optional[Callable[[float], float]] = None,
-    f_second: Optional[Callable[[float], float]] = None,
-    tol: float = 1e-6,
+    f_prime: Callable[[float], float],
+    f_second: Callable[[float], float],
 ) -> Report:
-    """Five-point planar Laplacian of f(sqrt(x^2 + y^2)) against the radial
-    form f'' + f'/r, plus the orbit-volume correction identity
-    grad(log 2 pi r) . grad f = f'/r for circular orbits of circumference
-    2 pi r."""
+    """Five-point planar Laplacian (step 1e-4) of f(sqrt(x^2 + y^2)) against
+    the radial form f'' + f'/r from the given derivatives, plus the
+    orbit-volume correction identity grad(log 2 pi r) . grad f = f'/r for
+    circular orbits of circumference 2 pi r; both to 1e-6."""
+    h, tol = 1e-4, 1e-6
     r_points = list(r_points)
-    if any(r <= max(10.0 * fd_step, 1e-3) for r in r_points):
+    if any(r <= 1e-3 for r in r_points):  # within ten steps of r = 0
         raise ValueError("radii too close to the singular orbit at r = 0")
 
-    def fp(r: float) -> float:
-        if f_prime is not None:
-            return f_prime(r)
-        return (f(r + fd_step) - f(r - fd_step)) / (2.0 * fd_step)
-
-    def fpp(r: float) -> float:
-        if f_second is not None:
-            return f_second(r)
-        return (f(r + fd_step) - 2.0 * f(r) + f(r - fd_step)) / fd_step**2
-
     rows = []
-    h = fd_step
     for r in r_points:
         x, y = r, 0.0
         five_point = (
@@ -238,7 +218,8 @@ def radial_laplacian_check(
             + f(math.hypot(x, y - h))
             - 4.0 * f(r)
         ) / h**2
-        radial = fpp(r) + fp(r) / r
+        d1 = f_prime(r)
+        radial = f_second(r) + d1 / r
         rows.append(
             ReportRow.deterministic(f"planar_laplacian[r={r:g}]", five_point, radial, tol)
         )
@@ -246,10 +227,10 @@ def radial_laplacian_check(
         dlog = (math.log(2.0 * math.pi * (r + h)) - math.log(2.0 * math.pi * (r - h))) / (2.0 * h)
         rows.append(
             ReportRow.deterministic(
-                f"volume_term[r={r:g}]", dlog * fp(r), fp(r) / r, tol * max(1.0, abs(fp(r)))
+                f"volume_term[r={r:g}]", dlog * d1, d1 / r, tol * max(1.0, abs(d1))
             )
         )
-    return Report(command="radial-laplacian", params={"fd_step": fd_step}, rows=rows)
+    return Report(command="radial-laplacian", params={"fd_step": h}, rows=rows)
 
 
 # ---------------------------------------------------------------------------
@@ -267,15 +248,16 @@ def _batch_su2_log_coords(mats: np.ndarray) -> np.ndarray:
     return (theta / safe)[:, None] * w
 
 
-def submersion_check(L: LatticeConnection, fd_step: float = 1e-5) -> tuple:
+def submersion_check(L: LatticeConnection) -> tuple:
     """Singular values of the differential of A -> holonomy, left translated
-    to the identity, in coordinates orthonormal on both sides.
+    to the identity, in coordinates orthonormal on both sides, from central
+    differences at step 1e-5.
 
     The quotient metric claim predicts dim(K) singular values equal to 1 up
     to the lattice discretization error O(1/N).
     """
     group, n = L.group, L.n_sites
-    base = L.values
+    base, fd_step = L.values, 1e-5
     h0 = holonomy(L)
     h0_inv = np.asarray(h0.inverse().value)
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Union
+from typing import Dict, Union
 
 import numpy as np
 
@@ -60,21 +60,17 @@ def _casimir_closed_form(group: GroupKind, label: int) -> float:
     return label * (label + 2) / 4.0
 
 
-def finite_difference_casimir(
-    group: GroupKind,
-    label: int,
-    n_points: int = 20,
-    step: float = 1e-2,
-    seed: int = 321,
-) -> float:
+def finite_difference_casimir(group: GroupKind, label: int, seed: int = 321) -> float:
     """Casimir via the Laplacian as a sum of second derivatives.
 
-    At random g, apply Richardson-extrapolated central second differences
-    along each basis one-parameter subgroup t -> g exp(t e_j), sum over j,
-    and solve Delta chi = -c chi in least squares over the sample points.
+    At 20 random g, apply Richardson-extrapolated central second differences
+    at steps 1e-2 and 5e-3 along each basis one-parameter subgroup
+    t -> g exp(t e_j), sum over j, and solve Delta chi = -c chi in least
+    squares over the sample points.
     """
     rng = np.random.default_rng(seed)
     dim = group.algebra_dim
+    n_points, step = 20, 1e-2
     steps = (step, step / 2.0)
     # exp(+h e_j), exp(-h e_j) for each step h and direction j, in that order
     shifts = []
@@ -193,8 +189,8 @@ class CharacterSeries:
         object.__setattr__(self, "coeffs", cleaned)
 
     @classmethod
-    def single(cls, group: GroupKind, label: int, coeff: complex = 1.0) -> "CharacterSeries":
-        return cls(group, {label: coeff})
+    def single(cls, group: GroupKind, label: int) -> "CharacterSeries":
+        return cls(group, {label: 1.0})
 
     def norm_sq(self) -> float:
         """Squared L2(K) norm, by character orthonormality."""
@@ -290,24 +286,16 @@ def _su2_series(coeffs: tuple, traces, one):
     return total
 
 
-def heat_kernel(
-    group: GroupKind,
-    t: float,
-    g: ComplexGroupElement,
-    tol: Optional[float] = None,
-) -> Union[float, complex]:
+def heat_kernel(group: GroupKind, t: float, g: ComplexGroupElement) -> Union[float, complex]:
     """Heat kernel at the identity, rho_t(g), continued to the complex group.
 
-    Truncates when the next term bound drops below tol (defaults: 1e-12 on K,
-    1e-9 off K).  Returns a real number for g in K.
+    Truncates when the next term bound drops below 1e-12 on K, 1e-9 off K.
+    Returns a real number for g in K.
     """
     if t <= 0:
         raise ValueError("heat time must be positive")
     on_group = isinstance(g, GroupElement)
-    if tol is None:
-        tol = DEFAULT_TOL_COMPACT if on_group else DEFAULT_TOL_COMPLEX
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    tol = DEFAULT_TOL_COMPACT if on_group else DEFAULT_TOL_COMPLEX
     if group is GroupKind.SU2 and on_group:
         # the trace is real on K: the same recurrence in Python floats
         return _su2_series(_series_plan(group, t, 0.0, tol), g.trace().real, 1.0)

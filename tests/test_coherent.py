@@ -93,13 +93,6 @@ class TestOverlap:
         assert abs(values[0] - values[1]) < 1e-7
         assert abs(values[1] - values[2]) < 1e-7
 
-    def test_insufficient_level_reported(self):
-        rng = np.random.default_rng(6)
-        g = random_complex_point(SU2, rng, y_scale=0.9)
-        with pytest.raises(ValueError, match="quadrature level"):
-            coherent_overlap(CoherentLabel(g, 0.5), CharacterSeries.single(SU2, 2),
-                             quad_level=3, tol=1e-10)
-
 
 class TestResolutionIdentity:
     def test_trivial_block_is_unity(self):

@@ -10,6 +10,7 @@ raised a bare OverflowError or judged a determinant that cannot be formed.
 """
 
 import cmath
+import math
 import warnings
 
 import numpy as np
@@ -22,9 +23,12 @@ from cylgauge.groups import (
     GroupElement,
     GroupKind,
     exp_map,
+    imaginary_radius,
+    polar_decompose,
     validate_values,
     zero_vector,
 )
+from cylgauge.spectral import heat_kernel
 
 U1, SU2 = GroupKind.U1, GroupKind.SU2
 TOL = 1e-8
@@ -182,6 +186,25 @@ def test_determinant_overflow_is_a_numerical_error():
     assert issubclass(OVERFLOW[0], NUMERICAL_ERRORS)
     with pytest.raises(NUMERICAL_ERRORS, match="overflows double precision"):
         exp_map(zero_vector(SU2), AlgebraVector(SU2, [720.0, 0.0, 0.0]))
+
+
+# accepted (det 1, or finite and nonzero), but a modulus of the unitarity
+# terms lies beyond the double range
+HUGE_SL2C = np.array([[1.2e154, 1.2e154 * (1 + 1j)], [0, 1 / 1.2e154]])
+HUGE_C_STAR = complex(1.5e308, 1.5e308)
+
+
+@pytest.mark.parametrize("group, value", [(SU2, HUGE_SL2C), (U1, HUGE_C_STAR)], ids=["sl2c", "c_star"])
+def test_overflowing_unitarity_defect_reads_as_inf(group, value):
+    assert ComplexGroupElement(group, value).unitarity_defect() == math.inf
+
+
+@pytest.mark.parametrize("call", [polar_decompose, imaginary_radius, lambda g: heat_kernel(SU2, 1.0, g)],
+                         ids=["polar_decompose", "imaginary_radius", "heat_kernel"])
+def test_singular_positive_factor_is_a_numerical_error(call):
+    g = ComplexGroupElement(SU2, HUGE_SL2C)
+    with pytest.raises(NUMERICAL_ERRORS, match="positive factor is numerically singular"):
+        call(g)
 
 
 def test_product_and_inverse_use_the_same_checks():

@@ -20,9 +20,9 @@ from cylgauge.groups import (
     identity,
     polar_decompose,
     zero_vector,
+    _haar_grid,
     _haar_quadrature,
     _project_unitary,
-    _u1_grid,
     su2_euler_grid,
     su2_weyl_grid,
 )
@@ -404,7 +404,7 @@ class TestStackedNodes:
         for t, w in zip(thetas, weights):
             total += w * f(GroupElement(SU2, np.diag([np.exp(1j * t), np.exp(-1j * t)])))
         assert _haar_quadrature(SU2, f, level, True) == complex(total)
-        values, weights = _u1_grid(level)
+        values, weights = _haar_grid(U1, level, False)
         total = sum(w * _u1_probe(GroupElement(U1, v)) for v, w in zip(values, weights))
         assert _haar_quadrature(U1, _u1_probe, level, False) == complex(total)
 

@@ -8,6 +8,10 @@ def gaussian_sampler(rng, m):
     return rng.normal(size=m) + 0.0j
 
 
+def gaussian_column(rng, m):
+    return gaussian_sampler(rng, m)[:, None]
+
+
 class TestChunkedMC:
     def test_mean_and_error_of_standard_gaussian(self):
         est = chunked_mc(gaussian_sampler, 50_000, seed=1)
@@ -22,8 +26,8 @@ class TestChunkedMC:
         assert a.mean == b.mean and a.std_error == b.std_error
 
     def test_worker_count_does_not_change_result(self):
-        a = chunked_mc(gaussian_sampler, 40_000, seed=3, n_workers=1)
-        b = chunked_mc(gaussian_sampler, 40_000, seed=3, n_workers=4)
+        (a,) = chunked_mc_vector(gaussian_column, 1, 40_000, seed=3, n_workers=1)
+        (b,) = chunked_mc_vector(gaussian_column, 1, 40_000, seed=3, n_workers=4)
         assert a.mean == b.mean and a.std_error == b.std_error
 
     def test_error_scales_as_inverse_sqrt_n(self):
@@ -33,7 +37,7 @@ class TestChunkedMC:
         assert ratio == pytest.approx(0.25, rel=0.1)
 
     def test_ragged_final_chunk(self):
-        est = chunked_mc(gaussian_sampler, 10_001, seed=2, chunk_size=4096)
+        (est,) = chunked_mc_vector(gaussian_column, 1, 10_001, seed=2, chunk_size=4096)
         assert est.n_samples == 10_001
 
     def test_vector_quantities_share_the_stream(self):
@@ -62,7 +66,7 @@ class TestChunkedMC:
         with pytest.raises(ValueError):
             chunked_mc(gaussian_sampler, 0, seed=1)
         with pytest.raises(ValueError):
-            chunked_mc(gaussian_sampler, 10, seed=1, chunk_size=0)
+            chunked_mc_vector(gaussian_column, 1, 10, seed=1, chunk_size=0)
 
 
 class TestMCEstimate:

@@ -25,3 +25,69 @@ def test_every_public_name_is_reached():
                     defined[node.name] = path.stem
     unreached = sorted(f"{module}.{name}" for name, module in defined.items() if name not in used)
     assert not unreached, f"public names no module, CLI command or benchmark reaches: {unreached}"
+
+
+def _passed_params(paths):
+    """Every keyword passed in paths, and per callee name the most
+    positional arguments it is given; a starred argument passes every
+    position."""
+    keywords, positions = set(), {}
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            callee = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            keywords.update(kw.arg for kw in node.keywords)
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            count = float("inf") if starred else len(node.args)
+            positions[callee] = max(positions.get(callee, 0), count)
+    return keywords, positions
+
+
+def _defaulted_params(tree):
+    """(callee name, qualified name, parameter, positional index or None) of
+    each defaulted parameter of a public function, public method or
+    constructor; index None marks a keyword-only parameter."""
+    scopes = [(node, node.name, node.name, 0) for node in tree.body if isinstance(node, ast.FunctionDef)]
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_"):
+            for node in cls.body:
+                if isinstance(node, ast.FunctionDef):
+                    callee = cls.name if node.name == "__init__" else node.name
+                    static = any(getattr(d, "id", None) == "staticmethod" for d in node.decorator_list)
+                    scopes.append((node, callee, f"{cls.name}.{node.name}", 0 if static else 1))
+    for node, callee, qualname, skip in scopes:
+        if callee.startswith("_"):
+            continue
+        args = node.args.posonlyargs + node.args.args
+        for arg in args[len(args) - len(node.args.defaults):]:
+            yield callee, qualname, arg.arg, args.index(arg) - skip
+        for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults):
+            if default is not None:
+                yield callee, qualname, arg.arg, None
+
+
+# defaulted parameters kept with a single value in program use, and why
+KEPT_PARAMETERS = {
+    # results are bit-identical for a given (seed, chunk size): the chunk
+    # size is part of the documented determinism contract
+    "montecarlo.chunked_mc_vector(chunk_size)",
+}
+
+
+def test_every_defaulted_parameter_is_passed():
+    """A defaulted parameter that the program and the acceptance criteria
+    always leave at its default is a constant, not an option.  Passed means
+    by keyword name (the benchmark calls through wrappers), or positionally
+    to a callee of the function's name."""
+    keywords, positions = _passed_params(MODULES + BENCH + [ROOT / "tests" / "test_acceptance.py"])
+    unpassed = sorted(
+        f"{path.stem}.{qualname}({param})"
+        for path in MODULES
+        for callee, qualname, param, index in _defaulted_params(ast.parse(path.read_text()))
+        if param not in keywords
+        and (index is None or positions.get(callee, 0) <= index)
+    )
+    unpassed = [name for name in unpassed if name not in KEPT_PARAMETERS]
+    assert not unpassed, f"defaulted parameters no caller ever sets: {unpassed}"

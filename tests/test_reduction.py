@@ -320,13 +320,11 @@ class TestRadialLaplacian:
         )
         assert all(r.passed for r in rep.rows)
 
-    def test_fd_derivatives_used_when_not_given(self):
-        rep = radial_laplacian_check(lambda r: r**2, [1.0], tol=1e-5)
-        assert all(r.passed for r in rep.rows)
-
     def test_singular_orbit_rejected(self):
         with pytest.raises(ValueError):
-            radial_laplacian_check(lambda r: r**2, [1e-5])
+            radial_laplacian_check(
+                lambda r: r**2, [1e-5], f_prime=lambda r: 2 * r, f_second=lambda r: 2.0
+            )
 
 
 class TestSubmersion:
