@@ -416,7 +416,10 @@ def polar_decompose(g: ComplexGroupElement) -> PolarCoordinates:
     """
     group = g.group
     if group is GroupKind.U1:
-        r = abs(g.value)
+        try:
+            r = abs(g.value)
+        except OverflowError:  # accepted values whose modulus exceeds the double range
+            raise OverflowError("positive factor |g| exceeds the double range") from None
         x = GroupElement(group, g.value / r)
         return PolarCoordinates(x, AlgebraVector(group, np.array([-math.log(r)])))
     u, sigma, vh = np.linalg.svd(g.value)

@@ -131,9 +131,9 @@ def link_holonomy_values(group: GroupKind, links: np.ndarray) -> np.ndarray:
 # An SU(2) step is a quaternion (w, v) standing for w I + v.sigma, and
 # (w1, v1)(w2, v2) = (w1 w2 + v1.v2, w1 v2 + w2 v1 + i v1 x v2).  Real
 # connections keep b = -i v (value w I + i b.sigma) and stay in floats.
-# The components are four site-major (N, B) arrays, so sites k and k+1 of all
-# B configurations are two contiguous rows; each level of the pairwise
-# product tree is a few whole-array operations, an odd last site carried up.
+# The steps of a block of B configurations are one site-major (4, N, B)
+# _Workspace array, so sites k and k+1 of all B configurations are two
+# contiguous rows; each product tree level is a few whole-array operations.
 # Operation and operand order are fixed (numpy's complex a b and b a may
 # round differently), so the bits do not depend on batch size or layout.
 #
@@ -145,19 +145,32 @@ def link_holonomy_values(group: GroupKind, links: np.ndarray) -> np.ndarray:
 # The doublings run in long double, which keeps their rounding below that of
 # the double input.  numpy may round an aliased in-place complex multiply of
 # length 1 differently from every other (without FMA, on AVX-512 builds), so
-# complex products that may have length 1 go out of place.
+# complex products always go to a buffer that none of their inputs share.
 # ---------------------------------------------------------------------------
 
 
-BLOCK = 1024  # configurations per block of stacked work: a block's arrays stay in cache
+BLOCK_VALUES = 3 * 2**14  # coordinates (16,384 SU(2) links) per block of stacked work: its arrays stay in cache
 SERIES_DEGREE = 9  # first omitted term at |u| = 1: 1/20! < 4.2e-19
 _COSHM1_COEFFS = [1.0 / math.factorial(2 * k + 2) for k in range(SERIES_DEGREE)]  # (cosh - 1)/u
 _SINHC_COEFFS = [1.0 / math.factorial(2 * k + 1) for k in range(SERIES_DEGREE + 1)]
 
 
-def _horner(u: np.ndarray, coeffs: list) -> np.ndarray:
-    """sum_k coeffs[k] u^k; products go to a second buffer, never aliased."""
-    acc, spare = u * coeffs[-1], np.empty_like(u)
+class _Workspace(dict):
+    """Scratch arrays of one thread: a buffer per name and dtype, grown on demand."""
+
+    block_values = BLOCK_VALUES  # coordinates per kernel block
+
+    def __call__(self, name: str, shape: tuple, dtype=float) -> np.ndarray:
+        key, size = (name, np.dtype(dtype)), math.prod(shape)
+        if key not in self or self[key].size < size:
+            self[key] = np.empty(size, dtype)
+        return self[key][:size].reshape(shape)
+
+
+def _horner(u: np.ndarray, coeffs: list, ws: _Workspace) -> np.ndarray:
+    """sum_k coeffs[k] u^k in one of two ws buffers; products go to the other."""
+    acc, spare = ws("h0", u.shape, complex), ws("h1", u.shape, complex)
+    np.multiply(u, coeffs[-1], out=acc)
     for a in coeffs[-2:0:-1]:
         acc += a
         np.multiply(acc, u, out=spare)
@@ -166,13 +179,15 @@ def _horner(u: np.ndarray, coeffs: list) -> np.ndarray:
     return acc
 
 
-def _cosh_sinhc(u: np.ndarray) -> tuple:
-    """cosh(mu) and sinh(mu)/mu at mu^2 = u, elementwise; u is overwritten."""
-    bound = np.abs(u.real) + np.abs(u.imag)  # >= |u|
+def _cosh_sinhc(u: np.ndarray, e: np.ndarray, ws: _Workspace) -> np.ndarray:
+    """cosh(mu) into e, and sinh(mu)/mu, at mu^2 = u elementwise; u is overwritten."""
+    bound = np.abs(u.real, out=ws("bound", u.shape))
+    bound += np.abs(u.imag, out=ws("bound_im", u.shape))  # >= |u|
     big = np.flatnonzero(bound > 1.0)
     halvings = (np.frexp(bound.flat[big])[1] + 1) // 2  # 4^halvings > bound
     u.flat[big] = u.flat[big] * np.ldexp(1.0, -2 * halvings)
-    e, sinhc = _horner(u, _COSHM1_COEFFS) * u, _horner(u, _SINHC_COEFFS)
+    np.multiply(_horner(u, _COSHM1_COEFFS, ws), u, out=e)
+    sinhc = _horner(u, _SINHC_COEFFS, ws)
     eb, sb = e.flat[big].astype(np.clongdouble), sinhc.flat[big].astype(np.clongdouble)
     for done in range(halvings.max(initial=0)):
         sel = halvings > done
@@ -181,59 +196,72 @@ def _cosh_sinhc(u: np.ndarray) -> tuple:
         eb[sel] = 2.0 * (es * (es + 2.0))
     e.flat[big], sinhc.flat[big] = eb, sb
     e += 1.0
-    return e, sinhc
+    return sinhc
 
 
-def _su2_steps(coords: np.ndarray, real: bool) -> list:
-    """Steps exp((i/2) c.sigma / N) for coords (B, N, 3) as [w, x, y, z],
-    each (N, B): (w, b) for real coordinates, (w, v) for complex ones."""
-    comps = np.divide(coords.transpose(2, 1, 0), coords.shape[1], order="C")
-    sq = (comps[0] * comps[0] + comps[1] * comps[1]) + comps[2] * comps[2]
+def _su2_steps(coords: np.ndarray, real: bool, ws: _Workspace) -> np.ndarray:
+    """Steps exp((i/2) c.sigma / N) for coords (B, N, 3) as a (4, N, B) array
+    [w, x, y, z] in ws: (w, b) for real coordinates, (w, v) for complex ones."""
+    xs, dtype = coords.transpose(2, 1, 0), (float if real else complex)
+    q = ws("q0", (4,) + xs.shape[1:], dtype)
+    comps = np.divide(xs, coords.shape[1], out=q[1:] if real else ws("comps", xs.shape, dtype))
+    sq, t = ws("t0", xs.shape[1:], dtype), ws("t1", xs.shape[1:], dtype)
+    np.multiply(comps[0], comps[0], out=sq)
+    sq += np.multiply(comps[1], comps[1], out=t)
+    sq += np.multiply(comps[2], comps[2], out=t)
     if real:
-        theta = 0.5 * np.sqrt(sq)
+        theta = np.multiply(0.5, np.sqrt(sq, out=sq), out=sq)
         small = theta < 1e-8
         safe = np.where(small, 1.0, theta) if small.any() else theta
-        w, scale = np.cos(theta), 0.5 * np.sin(safe) / safe
+        np.cos(theta, out=q[0])
+        scale = np.divide(np.multiply(0.5, np.sin(safe, out=t), out=t), safe, out=t)
         scale[small] = 0.5 * (1.0 - theta[small] ** 2 / 6.0)
-        return [w] + [np.multiply(scale, c, out=c) for c in comps]
-    w, sinhc = _cosh_sinhc(-0.25 * sq)
-    return [w] + list(0.5j * sinhc * comps)
+        comps *= scale
+    else:
+        sinhc = _cosh_sinhc(np.multiply(-0.25, sq, out=t), q[0], ws)
+        np.multiply(np.multiply(0.5j, sinhc, out=sq), comps, out=q[1:])
+    return q
 
 
-def _quat_mul(q1: list, q2: list, real: bool, w_only: bool) -> list:
-    """Product q1 q2 of component lists; [w] alone when w_only."""
-    w1, x1, y1, z1 = q1
-    w2, x2, y2, z2 = q2
-    dot = (x1 * x2 + y1 * y2) + z1 * z2
-    w = w1 * w2 - dot if real else w1 * w2 + dot
+def _quat_mul(q1: np.ndarray, q2: np.ndarray, real: bool, w_only: bool, out: np.ndarray, ws: _Workspace):
+    """Product q1 q2 into out, out[0] alone when w_only; cross term c is a1 b2 - b1 a2."""
+    (w1, x1, y1, z1), (w2, x2, y2, z2) = q1, q2
+    dot, t = ws("t0", w1.shape, out.dtype), ws("t1", w1.shape, out.dtype)
+    np.multiply(x1, x2, out=dot)
+    dot += np.multiply(y1, y2, out=t)
+    dot += np.multiply(z1, z2, out=t)
+    sign = np.subtract if real else np.add  # real steps carry b = -i v
+    sign(np.multiply(w1, w2, out=out[0]), dot, out=out[0])
     if w_only:
-        return [w]
-    vec = (w1 * x2 + w2 * x1, w1 * y2 + w2 * y1, w1 * z2 + w2 * z1)
-    cross = (y1 * z2 - z1 * y2, z1 * x2 - x1 * z2, x1 * y2 - y1 * x2)
-    if real:
-        return [w] + [v - c for v, c in zip(vec, cross)]
-    return [w] + [v + 1j * c for v, c in zip(vec, cross)]
+        return
+    axes = ((x1, x2, y1, z2, z1, y2), (y1, y2, z1, x2, x1, z2), (z1, z2, x1, y2, y1, x2))
+    for v, (c1, c2, a1, b2, b1, a2) in zip(out[1:], axes):
+        np.multiply(w1, c2, out=v)
+        v += np.multiply(w2, c1, out=t)
+        cross = np.multiply(a1, b2, out=dot)
+        cross -= np.multiply(b1, a2, out=t)
+        sign(v, cross if real else np.multiply(1j, cross, out=t), out=v)
 
 
-def _holonomy_quats(coords: np.ndarray, w_only: bool = False) -> list:
-    """Ordered products q[N-1] ... q[0] as [w, x, y, z] of shape (B,), or
-    [w] alone when w_only."""
-    if len(coords) > BLOCK:
-        starts = range(0, len(coords), BLOCK)
-        blocks = [_holonomy_quats(coords[lo:lo + BLOCK], w_only) for lo in starts]
-        return [np.concatenate(parts) for parts in zip(*blocks)]
+def _holonomy_quats(coords: np.ndarray, ws: _Workspace, w_only: bool = False) -> np.ndarray:
+    """Ordered products q[N-1] ... q[0] of coords (B, N, 3) as a (4, B)
+    array [w, x, y, z], or (1, B) [w] when w_only, worked through in blocks."""
     real = not np.iscomplexobj(coords)
-    q = _su2_steps(coords, real)
-    while len(q[0]) > 1:
-        n = len(q[0])
-        odd = n % 2
-        left, right = [a[1:n - odd:2] for a in q], [a[0:n - odd:2] for a in q]
-        prod = _quat_mul(left, right, real, w_only and n == 2)
-        q = [np.concatenate([p, a[n - 1:]]) if odd else p for p, a in zip(prod, q)]
-    return [a[0] for a in q]
+    quats = np.empty((1 if w_only else 4, len(coords)), dtype=float if real else complex)
+    rows = max(1, ws.block_values // (coords.shape[1] * 3))
+    for lo in range(0, len(coords), rows):
+        q, spare = _su2_steps(coords[lo:lo + rows], real, ws), "q1"
+        while (n := q.shape[1]) > 1:
+            half, odd = divmod(n, 2)
+            nxt = ws(spare, (4, half + odd, q.shape[2]), q.dtype)
+            _quat_mul(q[:, 1:n - odd:2], q[:, 0:n - odd:2], real, w_only and n == 2, nxt[:, :half], ws)
+            nxt[:, half:] = q[:, n - odd:]  # an odd last site carried up
+            q, spare = nxt, "q0" if spare == "q1" else "q1"
+        quats[:, lo:lo + rows] = q[:len(quats), 0]
+    return quats
 
 
-def _quat_to_matrix(q: list, real: bool) -> np.ndarray:
+def _quat_to_matrix(q: np.ndarray, real: bool) -> np.ndarray:
     w, x, y, z = q
     if real:
         w = w.astype(complex)
@@ -250,14 +278,15 @@ def holonomy_batch(group: GroupKind, coords: np.ndarray) -> np.ndarray:
     coords = np.asarray(coords)
     if group is GroupKind.U1:
         return np.exp(1j * coords[..., 0].mean(axis=1))
-    return _quat_to_matrix(_holonomy_quats(coords), not np.iscomplexobj(coords))
+    return _quat_to_matrix(_holonomy_quats(coords, _Workspace()), not np.iscomplexobj(coords))
 
 
-def holonomy_traces(group: GroupKind, coords: np.ndarray) -> np.ndarray:
-    """Batch holonomy reduced to traces (U1: the element values themselves)."""
+def holonomy_traces(group: GroupKind, coords: np.ndarray, workspace: Optional[_Workspace] = None) -> np.ndarray:
+    """Batch holonomy reduced to traces (U1: the element values themselves), in workspace if given."""
     if group is GroupKind.U1:
         return holonomy_batch(group, coords)
-    return 2.0 * _holonomy_quats(np.asarray(coords), w_only=True)[0].astype(complex)
+    w = _holonomy_quats(np.asarray(coords), _Workspace() if workspace is None else workspace, w_only=True)[0]
+    return 2.0 * w.astype(complex)
 
 
 def _element_from_matrix(group: GroupKind, value, real: bool):
@@ -375,15 +404,16 @@ def haar_gauge_drift(L: LatticeConnection, trials: int, rng: np.random.Generator
     """Largest entry of |h(g.U) - h(L)| over `trials` based gauge maps g with
     Haar-random g_1 .. g_{N-1}, acting on the links U of L.
 
-    The trials run in blocks of about 16 * BLOCK site elements, so memory
-    stays flat in N: one Haar draw, one stacked gauge action and one ordered
-    product each, consuming rng as one trial at a time would.
+    The trials run in blocks of as many site elements as an SU(2) kernel
+    block has links, so memory stays flat in N: one Haar draw, one stacked
+    gauge action and one ordered product each, consuming rng as one trial
+    at a time would.
     """
     group, n = L.group, L.n_sites
     h0 = np.asarray(holonomy(L).value)
     links = links_of(L).links
     e = identity(group).value
-    block = max(1, BLOCK * 16 // n)
+    block = max(1, BLOCK_VALUES // (n * 3))
     worst = 0.0
     for start in range(0, trials, block):
         m = min(block, trials - start)
@@ -405,7 +435,7 @@ def sample_connection(
     """Draw from the lattice Gaussian with formal density exp(-|A|^2 / 2s)."""
     if s < 0:
         raise ValueError("variance parameter s must be nonnegative")
-    return LatticeConnection(group, _gaussian_draw(group, n_sites, s)(rng, 1)[0])
+    return LatticeConnection(group, next(_gaussian_draw(group, n_sites, s)(rng, 1, 1))[0][0])
 
 
 def sample_complex_batch(group, n_sites, s, hbar, rng, batch):
@@ -428,28 +458,30 @@ def sample_complex_batch(group, n_sites, s, hbar, rng, batch):
 # ---------------------------------------------------------------------------
 
 
-def coarsen_coords(coords: np.ndarray) -> np.ndarray:
-    """Average adjacent sites: an exact sample of the half-resolution
-    Gaussian, strongly coupled to the fine one."""
+def coarsen_coords(coords: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Average adjacent sites (axis 1), written to out when given: an exact
+    sample of the half-resolution Gaussian, strongly coupled to the fine one."""
     if coords.shape[1] % 2:
         raise ValueError("site count must be even to coarsen")
-    return 0.5 * (coords[:, 0::2] + coords[:, 1::2])
+    return np.multiply(0.5, coords[:, 0::2] + coords[:, 1::2], out=out)
 
 
 def _gaussian_draw(group: GroupKind, n_sites: int, s: float, hbar: Optional[float] = None):
-    """draw(rng, m) giving m configurations (m, n_sites, dim) of the
-    variance-s lattice Gaussian or, with hbar, of the complex (s, hbar)
-    Gaussian of sample_complex_batch as Z = A + iP."""
-    dim = group.algebra_dim
+    """draw(rng, m, block) yielding real and imaginary parts (b <= block, n_sites, dim) of m
+    configurations of the variance-s Gaussian (imaginary part None) or, with hbar, the complex
+    Gaussian of sample_complex_batch, consuming rng as one whole draw: real part first."""
+    shape = (n_sites, group.algebra_dim)
     if hbar is None:
         scale = math.sqrt(s * n_sites)
-        return lambda rng, m: rng.normal(scale=scale, size=(m, n_sites, dim))
+        return lambda rng, m, block: (
+            (rng.normal(scale=scale, size=(min(block, m - lo),) + shape), None) for lo in range(0, m, block))
+    sample_complex_batch(group, n_sites, s, hbar, np.random.default_rng(0), 0)  # rejects a bad (s, hbar) now
+    re_scale, im_scale = math.sqrt((2.0 * s - hbar) / 2.0 * n_sites), math.sqrt(hbar / 2.0 * n_sites)
 
-    def draw(rng: np.random.Generator, m: int) -> np.ndarray:
-        re, im = sample_complex_batch(group, n_sites, s, hbar, rng, m)
-        z = np.empty(re.shape, dtype=complex)
-        z.real, z.imag = re, im
-        return z
+    def draw(rng: np.random.Generator, m: int, block: int):
+        re = rng.normal(scale=re_scale, size=(m,) + shape)
+        for lo in range(0, m, block):
+            yield re[lo:lo + block], rng.normal(scale=im_scale, size=re[lo:lo + block].shape)
 
     return draw
 
@@ -512,9 +544,9 @@ def _coupled_levels(
     """One RefinementStudy per column of columns(traces), at the coupled
     resolutions n_fine, n_fine/2, ...
 
-    draw(rng, m) supplies the n_fine-site fluctuation, each coarser level
-    averages adjacent sites of the one before, and bases[level], when given
-    and not None, is a deterministic offset added at that level.
+    draw(rng, m, block), a _gaussian_draw, supplies the n_fine-site fluctuation
+    in blocks whose coarsest level fills a kernel block, each coarser level
+    averages adjacent sites of the one before, and bases[level], if given, is added.
     targets[q][level] is column q's closed form at that level, so the length
     of each targets[q] is the number of levels.  With two or more levels each
     study also carries the per-sample Richardson column 2 v_N - v_{N/2}.
@@ -526,15 +558,30 @@ def _coupled_levels(
             f"(got n_levels={n_levels}, n_fine={n_fine})"
         )
 
+    # blocks are held in the layout the kernel reads: SU2 (dim, N, b), U1 (b, N, 1)
+    flip = (2, 1, 0) if group is GroupKind.SU2 else (0, 1, 2)
+    offsets = [None] * n_levels if bases is None else [np.asarray(b)[None].transpose(flip) for b in bases]
+    values = BLOCK_VALUES * max(1, n_workers or 1)  # each numpy call retakes the GIL: workers need long calls
+    block = max(1, values // ((n_fine >> (n_levels - 1)) * group.algebra_dim))
+
     def sampler(rng: np.random.Generator, m: int) -> np.ndarray:
-        noise = draw(rng, m)
-        per_level = []
-        for level in range(n_levels):
-            base = None if bases is None else bases[level]
-            coords = noise if base is None else noise + base[None, ...]
-            per_level.append(columns(holonomy_traces(group, coords)))
-            if level + 1 < n_levels:
-                noise = coarsen_coords(noise)
+        ws, traces = _Workspace(), np.empty((n_levels, m), dtype=complex)
+        ws.block_values = values
+        for lo, (re, im) in zip(range(0, m, block), draw(rng, m, block)):
+            noise = ws("noise", re.transpose(flip).shape, float if im is None else complex)
+            noise.real[...] = re.transpose(flip)
+            if im is not None:
+                noise.imag[...] = im.transpose(flip)
+            for level, offset in enumerate(offsets):
+                n = n_fine >> level
+                coords = noise[:, :n]
+                if offset is not None:
+                    coords = np.add(coords, offset, out=ws("based", coords.shape, np.result_type(coords, offset)))
+                traces[level, lo:lo + len(re)] = holonomy_traces(group, coords.transpose(flip), workspace=ws)
+                if level + 1 < n_levels:
+                    coarsen_coords(noise[:, :n], out=noise[:, :n // 2])
+        del ws, re, im  # free the draw and the buffers before the columns are formed
+        per_level = [columns(row) for row in traces]
         cols = [col for level_cols in per_level for col in level_cols]
         if n_levels > 1:
             cols += [2.0 * f - h for f, h in zip(per_level[0], per_level[1])]

@@ -192,7 +192,7 @@ def test_criterion_06_pushforward_to_heat_kernel():
 
 def test_criterion_07_semigroup_reduction():
     budget = Budget(120.0)
-    from cylgauge.lattice import LatticeConnection, _coupled_levels
+    from cylgauge.lattice import LatticeConnection, _coupled_levels, _gaussian_draw
     from cylgauge.reduction import semigroup_reduction_check
     from cylgauge.spectral import evaluate_series, heat_semigroup, su2_characters_from_traces
 
@@ -229,14 +229,12 @@ def test_criterion_07_semigroup_reduction():
             bases.append(base.values)
             targets.append(evaluate_series(heat_semigroup(SU2, hbar, phi), holonomy(base)))
 
-        def draw(rng, m):
-            return rng.normal(scale=math.sqrt(hbar * n_fine), size=(m, n_fine, 3))
-
         def columns(traces):
             return [su2_characters_from_traces(1, traces)[1]]
 
         (study,) = _coupled_levels(
-            SU2, draw, columns, [targets], n_fine, 100_000, seed=26, bases=bases
+            SU2, _gaussian_draw(SU2, n_fine, hbar), columns, [targets], n_fine, 100_000,
+            seed=26, bases=bases,
         )
         su2_zs.append(study.extrapolated_z())
         assert study.extrapolated_z() < 3.0

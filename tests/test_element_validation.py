@@ -207,6 +207,14 @@ def test_singular_positive_factor_is_a_numerical_error(call):
         call(g)
 
 
+@pytest.mark.parametrize("call", [polar_decompose, imaginary_radius, lambda g: heat_kernel(U1, 1.0, g)],
+                         ids=["polar_decompose", "imaginary_radius", "heat_kernel"])
+def test_overflowing_c_star_modulus_is_a_named_numerical_error(call):
+    g = ComplexGroupElement(U1, HUGE_C_STAR)
+    with pytest.raises(NUMERICAL_ERRORS, match="positive factor .g. exceeds the double range"):
+        call(g)
+
+
 def test_product_and_inverse_use_the_same_checks():
     # values that only a failing product or inverse could form
     g = GroupElement(SU2, np.eye(2))

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from cylgauge.lattice import (
     LatticeConnection,
     LatticeGaugeMap,
     LinkConfiguration,
+    coarsen_coords,
     gauge_transform,
     haar_gauge_drift,
     holonomy,
@@ -34,6 +36,8 @@ from cylgauge.lattice import (
     smooth_connection,
     smooth_gauge_map,
 )
+from cylgauge.montecarlo import MCEstimate
+from cylgauge.reduction import gram_matrix_refinement, pushforward_refinement
 
 U1, SU2 = GroupKind.U1, GroupKind.SU2
 
@@ -570,7 +574,9 @@ class TestKernelOracle:
         # the kernel works through long batches in blocks; bits must not move
         coords = self.draw(7, 2500, complexified, 1.0, 42)
         traces, hols = holonomy_traces(SU2, coords), holonomy_batch(SU2, coords)
-        for i in (0, 1023, 1024, 2499):
+        rows = lattice.BLOCK_VALUES // (7 * 3)  # configurations per kernel block
+        assert rows < 2500
+        for i in (0, 1023, 1024, rows - 1, rows, 2499):
             assert traces[i] == holonomy_traces(SU2, coords[i:i + 1])[0]
             assert np.array_equal(hols[i], holonomy_batch(SU2, coords[i:i + 1])[0])
 
@@ -634,7 +640,7 @@ class TestComplexStepAccuracy:
     @pytest.mark.parametrize("level, direction", list(CASES), ids=[f"{u:g}-{d}" for u, d in CASES])
     def test_steps_against_long_double(self, level, direction):
         coords = self.inputs(level, direction, np.random.default_rng([int(level * 1000), "rim".index(direction[0])]))
-        w, x, y, z = (a[0] for a in lattice._su2_steps(coords.copy(), real=False))
+        w, x, y, z = (a[0] for a in lattice._su2_steps(coords.copy(), False, lattice._Workspace()))
         c = coords[:, 0, :].astype(np.clongdouble)
         mu = np.sqrt(-np.sum(c * c, axis=1)) / 2
         ref_w = np.cosh(mu)
@@ -644,3 +650,129 @@ class TestComplexStepAccuracy:
         err_v = np.max(np.abs(v - ref_v), axis=1) / np.maximum(1, np.max(np.abs(ref_v), axis=1))
         error = float(max(err_w.max(), err_v.max())) / np.finfo(float).eps
         assert error <= self.CASES[level, direction][1]
+
+
+class TestStreamedSampler:
+    """The coupled-level sampler draws, coarsens and reduces a chunk block by
+    block; its output must keep the bits of the whole-chunk computation."""
+
+    @staticmethod
+    def streamed(monkeypatch, group, draw, columns, n_levels, n_fine, bases=None):
+        """The sampler closure that _coupled_levels hands to chunked_mc_vector."""
+        captured = []
+
+        def capture(sampler, n_quantities, n_samples, seed, n_workers=None):
+            captured.append(sampler)
+            return [MCEstimate(0j, 0.0, n_samples)] * n_quantities
+
+        monkeypatch.setattr(lattice, "chunked_mc_vector", capture)
+        targets = [(0.0,) * n_levels] * len(columns(np.ones(1, dtype=complex)))
+        lattice._coupled_levels(group, draw, columns, targets, n_fine, 1, seed=0, bases=bases)
+        return captured[0]
+
+    @staticmethod
+    def whole_chunk(group, noise, columns, n_levels, bases=None):
+        """The reference: the whole chunk's traces per level on coarsen_coords."""
+        per_level = []
+        for level in range(n_levels):
+            coords = noise if bases is None else noise + bases[level][None, ...]
+            per_level.append(columns(holonomy_traces(group, coords)))
+            if level + 1 < n_levels:
+                noise = coarsen_coords(noise)
+        cols = [col for level_cols in per_level for col in level_cols]
+        if n_levels > 1:
+            cols += [2.0 * f - h for f, h in zip(per_level[0], per_level[1])]
+        return np.stack(cols, axis=1)
+
+    @staticmethod
+    def whole_draw(group, n_fine, hbar, rng, m):
+        if hbar is None:
+            return rng.normal(scale=math.sqrt(2.0 * n_fine), size=(m, n_fine, group.algebra_dim))
+        re, im = sample_complex_batch(group, n_fine, 2.0, hbar, rng, m)
+        z = np.empty(re.shape, dtype=complex)
+        z.real, z.imag = re, im
+        return z
+
+    @staticmethod
+    def columns(group):
+        labels = (1, -2) if group is U1 else (1, 2)
+        return lambda traces: [lattice._characters(group, labels, traces)[k] for k in labels]
+
+    @staticmethod
+    def bases(group, n_fine, n_levels, complexified):
+        out = []
+        for level in range(n_levels):
+            n = n_fine >> level
+            values = smooth_connection(group, n, np.random.default_rng(70), amplitude=0.8).values
+            if complexified:
+                values = values + 0.25j * smooth_connection(group, n, np.random.default_rng(71)).values
+            out.append(values)
+        return out
+
+    @pytest.mark.parametrize("n_levels", [1, 2, 3])
+    @pytest.mark.parametrize("hbar", [None, 0.5], ids=["real", "complex"])
+    @pytest.mark.parametrize("group, n_fine", [(SU2, 64), (U1, 64), (SU2, 12)])
+    def test_chunks_keep_the_whole_chunk_bits(self, monkeypatch, group, n_fine, hbar, n_levels):
+        columns = self.columns(group)
+        sampler = self.streamed(
+            monkeypatch, group, lattice._gaussian_draw(group, n_fine, 2.0, hbar), columns, n_levels, n_fine
+        )
+        block = lattice.BLOCK_VALUES // ((n_fine >> (n_levels - 1)) * group.algebra_dim)
+        for m in (1, 2 * block + 5):  # one configuration; a ragged last block
+            got = sampler(np.random.default_rng(m), m)
+            noise = self.whole_draw(group, n_fine, hbar, np.random.default_rng(m), m)
+            assert got.tobytes() == self.whole_chunk(group, noise, columns, n_levels).tobytes()
+
+    @pytest.mark.parametrize("complex_base", [False, True], ids=["real_base", "complex_base"])
+    @pytest.mark.parametrize("group", [SU2, U1])
+    def test_semigroup_bases_keep_the_whole_chunk_bits(self, monkeypatch, group, complex_base):
+        n_fine, n_levels = 32, 2
+        columns, bases = self.columns(group), self.bases(group, n_fine, n_levels, complex_base)
+        sampler = self.streamed(
+            monkeypatch, group, lattice._gaussian_draw(group, n_fine, 2.0), columns, n_levels, n_fine, bases
+        )
+        m = 2 * lattice.BLOCK_VALUES // ((n_fine >> (n_levels - 1)) * group.algebra_dim) + 3
+        noise = self.whole_draw(group, n_fine, None, np.random.default_rng(9), m)
+        expected = self.whole_chunk(group, noise, columns, n_levels, bases)
+        assert sampler(np.random.default_rng(9), m).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("hbar", [None, 0.5], ids=["real", "complex"])
+    def test_block_split_draw_is_the_one_shot_stream(self, hbar):
+        blocks = list(lattice._gaussian_draw(SU2, 16, 2.0, hbar)(np.random.default_rng(8), 1000, 300))
+        assert [len(re) for re, _ in blocks] == [300, 300, 300, 100]
+        re = np.concatenate([re for re, _ in blocks])
+        rng = np.random.default_rng(8)
+        if hbar is None:
+            assert all(im is None for _, im in blocks)
+            assert re.tobytes() == rng.normal(scale=math.sqrt(2.0 * 16), size=(1000, 16, 3)).tobytes()
+        else:
+            one_re, one_im = sample_complex_batch(SU2, 16, 2.0, hbar, rng, 1000)
+            assert re.tobytes() == one_re.tobytes()
+            assert np.concatenate([im for _, im in blocks]).tobytes() == one_im.tobytes()
+
+    def test_bad_complex_parameters_fail_before_any_draw(self):
+        with pytest.raises(ValueError, match="s > hbar/2"):
+            lattice._gaussian_draw(SU2, 16, 0.2, 0.5)
+
+
+# Peak traced memory of one 8192-sample chunk, parent of the streamed
+# sampler: 48.0 MiB (complex N = 64, 2 levels: the real and imaginary parts
+# and their complex copy) and 18.4 MiB (real N = 64, 3 levels).  The
+# streamed sampler must stay below half of each.
+CHUNK_PEAKS = {"gram_matrix_refinement": 48.0 / 2, "pushforward_refinement": 18.4 / 2}
+
+
+@pytest.mark.parametrize("name", sorted(CHUNK_PEAKS))
+def test_one_chunk_peak_memory(name):
+    run = {
+        "gram_matrix_refinement": lambda: gram_matrix_refinement(SU2, 2, 2.0, 0.5, 64, 8192, 1, n_levels=2),
+        "pushforward_refinement": lambda: pushforward_refinement(SU2, 1, 1.0, 64, 8192, 1, n_levels=3),
+    }[name]
+    run()  # warm caches, so only the chunk's own arrays are traced
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert peak < CHUNK_PEAKS[name], f"{name}: {peak:.1f} MiB"

@@ -123,14 +123,12 @@ class TestSemigroupReduction:
                 evaluate_series(heat_semigroup(SU2, hbar, phi), holonomy(base))
             )
 
-        def draw(rng, m):
-            return rng.normal(scale=math.sqrt(hbar * n_fine), size=(m, n_fine, 3))
-
         def columns(traces):
             return [su2_characters_from_traces(1, traces)[1]]
 
         (study,) = _coupled_levels(
-            SU2, draw, columns, [flowed_targets], n_fine, 150_000, seed=44, bases=bases
+            SU2, _gaussian_draw(SU2, n_fine, hbar), columns, [flowed_targets], n_fine, 150_000,
+            seed=44, bases=bases,
         )
         assert study.extrapolated_z() < 3.0
 
