@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import cmath
 import contextlib
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -48,6 +49,10 @@ class GroupKind(Enum):
     @property
     def algebra_dim(self) -> int:
         return 1 if self is GroupKind.U1 else 3
+
+
+# plain module names: each GroupKind.U1 read goes through the enum metaclass
+_U1, _SU2 = GroupKind.U1, GroupKind.SU2
 
 
 class BranchCutError(ValueError):
@@ -102,7 +107,7 @@ def embed_algebra(group: GroupKind, coords: np.ndarray) -> Union[complex, np.nda
     Accepts a trailing coordinate axis of batched input: shape (..., dim).
     """
     coords = np.asarray(coords)
-    if group is GroupKind.U1:
+    if group is _U1:
         val = 1j * coords[..., 0]
         return complex(val) if val.ndim == 0 else val
     return 0.5j * np.einsum("...j,jab->...ab", coords, PAULI)
@@ -114,7 +119,7 @@ def unembed_algebra(group: GroupKind, matrix) -> np.ndarray:
     The anti-Hermitian / purely-imaginary part is taken, so small Hermitian
     float noise is discarded.
     """
-    if group is GroupKind.U1:
+    if group is _U1:
         return np.array([np.imag(matrix)])
     m = np.asarray(matrix)
     coords = np.einsum("jab,...ba->...j", PAULI, m) / 1j
@@ -128,7 +133,7 @@ def unembed_algebra(group: GroupKind, matrix) -> np.ndarray:
 
 def _project_unitary(value, group: GroupKind):
     """Nearest group value; SU2 input may be stacked (..., 2, 2)."""
-    if group is GroupKind.U1:
+    if group is _U1:
         return value / abs(value)
     u, _, vh = np.linalg.svd(value)
     p = u @ vh
@@ -148,7 +153,7 @@ def _det2(m) -> complex:
 
 
 def _project_det_one(value, group: GroupKind):
-    if group is GroupKind.U1:
+    if group is _U1:
         return value
     return value / np.sqrt(_det2(value))
 
@@ -163,7 +168,7 @@ class ComplexGroupElement:
 
     def __init__(self, group: GroupKind, value):
         self.group = group
-        if group is GroupKind.U1:
+        if group is _U1:
             value = complex(value)
         else:
             value = np.asarray(value, dtype=complex)
@@ -186,7 +191,7 @@ class ComplexGroupElement:
         # would dominate every product), accepts a value within tol: every
         # comparison is False on NaN or inf, so passing implies finite entries
         tol, v = self._validate_tol, self.value
-        if self.group is GroupKind.U1:
+        if self.group is _U1:
             try:
                 if abs(abs(v) - 1.0) <= tol if self._unitary else v != 0 and cmath.isfinite(v):
                     return
@@ -222,20 +227,21 @@ class ComplexGroupElement:
             raise ValueError("group element is not unitary")
 
     def det(self) -> complex:
-        if self.group is GroupKind.U1:
+        if self.group is _U1:
             return complex(self.value)
         return _det2(self.value)
 
     def trace(self) -> complex:
-        if self.group is GroupKind.U1:
+        if self.group is _U1:
             return complex(self.value)
-        return complex(self.value[0, 0] + self.value[1, 1])
+        (a, _), (_, d) = self.value.tolist()  # one numpy call, not two indexings
+        return a + d
 
     def unitarity_defect(self) -> float:
         """Largest entry of |V* V - I|; the off-diagonal pair are conjugates.
         A modulus beyond the double range reads as inf, as in _validate."""
         try:
-            if self.group is GroupKind.U1:
+            if self.group is _U1:
                 return abs(abs(self.value) - 1.0)
             (a, b), (c, d) = self.value.tolist()
             col0 = a.real * a.real + a.imag * a.imag + c.real * c.real + c.imag * c.imag
@@ -245,7 +251,7 @@ class ComplexGroupElement:
             return math.inf
 
     def inverse(self) -> "ComplexGroupElement":
-        if self.group is GroupKind.U1:
+        if self.group is _U1:
             return self._checked(self.group, 1.0 / self.value)
         if self._unitary:
             return self._checked(self.group, self.value.conj().T)
@@ -254,21 +260,25 @@ class ComplexGroupElement:
         return self._checked(self.group, adj / _det2(m))
 
     def __mul__(self, other: "ComplexGroupElement") -> "ComplexGroupElement":
-        if self.group is not other.group:
+        group = self.group
+        if group is not other.group:
             raise ValueError("cannot multiply elements of different groups")
         cls = GroupElement if self._unitary and other._unitary else ComplexGroupElement
-        if self.group is GroupKind.U1:
+        if group is _U1:
             value = self.value * other.value
         else:
             value = self.value.dot(other.value)  # cheaper than @ on 2x2, same bits
         staleness = self._staleness + other._staleness + 1
         if staleness >= REPROJECT_EVERY:
             if cls is GroupElement:
-                value = _project_unitary(value, self.group)
+                value = _project_unitary(value, group)
             else:
-                value = _project_det_one(value, self.group)
+                value = _project_det_one(value, group)
             staleness = 0
-        return cls._checked(self.group, value, staleness)
+        g = cls.__new__(cls)  # as _checked, without the classmethod call
+        g.group, g.value, g._staleness = group, value, staleness
+        g._validate()
+        return g
 
     def isclose(self, other: "ComplexGroupElement", tol: float = 1e-10) -> bool:
         return bool(np.max(np.abs(np.asarray(self.value) - np.asarray(other.value))) <= tol)
@@ -289,7 +299,7 @@ def validate_values(group: GroupKind, values: np.ndarray) -> np.ndarray:
     """GroupElement's checks, with its tolerance and messages, over a stack
     of K values: (...,) for U1, (..., 2, 2) for SU2.  Returns values."""
     tol = GroupElement._validate_tol
-    if group is GroupKind.U1:
+    if group is _U1:
         if not np.all(np.isfinite(values) & (values != 0)):
             raise ValueError("U(1)-side elements must be finite and nonzero")
         defect = np.abs(np.abs(values) - 1.0)
@@ -312,14 +322,14 @@ def validate_values(group: GroupKind, values: np.ndarray) -> np.ndarray:
 def _elements(group: GroupKind, values: np.ndarray):
     """GroupElements over the rows of a stack that validate_values has
     passed, without checking each row again."""
-    for value in values.tolist() if group is GroupKind.U1 else values:
+    for value in values.tolist() if group is _U1 else values:
         g = GroupElement.__new__(GroupElement)
         g.group, g.value, g._staleness = group, value, 0
         yield g
 
 
 def identity(group: GroupKind) -> GroupElement:
-    if group is GroupKind.U1:
+    if group is _U1:
         return GroupElement(group, 1.0 + 0.0j)
     return GroupElement(group, _EYE2.copy())
 
@@ -358,7 +368,7 @@ def exp_map(
         if complex_part.group is not group:
             raise ValueError("real and imaginary parts must share the group")
         coords = coords + 1j * complex_part.coords
-    if group is GroupKind.U1:
+    if group is _U1:
         value = np.exp(1j * coords[0])
         cls = GroupElement if complex_part is None else ComplexGroupElement
         return cls(group, value)
@@ -376,7 +386,7 @@ def group_log(g: GroupElement) -> AlgebraVector:
     principal branch is ill-defined.
     """
     group = g.group
-    if group is GroupKind.U1:
+    if group is _U1:
         return AlgebraVector(group, np.array([math.atan2(g.value.imag, g.value.real)]))
     u = g.value
     c0 = float(np.real(u[0, 0] + u[1, 1])) / 2.0  # cos(theta/2)
@@ -408,6 +418,19 @@ class PolarCoordinates:
         return self.x * exp_map(zero_vector(self.x.group), self.y)
 
 
+def _modulus(z: complex) -> float:
+    try:
+        return abs(z)
+    except OverflowError:  # accepted values whose modulus exceeds the double range
+        raise OverflowError("positive factor |g| exceeds the double range") from None
+
+
+def _checked_singular_values(sigma: np.ndarray) -> np.ndarray:
+    if sigma[-1] < 1e-12 * sigma[0]:  # a numerical failure, not a bad argument
+        raise np.linalg.LinAlgError("positive factor is numerically singular")
+    return sigma
+
+
 def polar_decompose(g: ComplexGroupElement) -> PolarCoordinates:
     """Factor g = x exp(i y) with x unitary and y in the Lie algebra.
 
@@ -415,16 +438,12 @@ def polar_decompose(g: ComplexGroupElement) -> PolarCoordinates:
     logarithm xi gives y via embed(y) = -i xi.
     """
     group = g.group
-    if group is GroupKind.U1:
-        try:
-            r = abs(g.value)
-        except OverflowError:  # accepted values whose modulus exceeds the double range
-            raise OverflowError("positive factor |g| exceeds the double range") from None
+    if group is _U1:
+        r = _modulus(g.value)
         x = GroupElement(group, g.value / r)
         return PolarCoordinates(x, AlgebraVector(group, np.array([-math.log(r)])))
     u, sigma, vh = np.linalg.svd(g.value)
-    if sigma[-1] < 1e-12 * sigma[0]:  # a numerical failure, not a bad argument
-        raise np.linalg.LinAlgError("positive factor is numerically singular")
+    _checked_singular_values(sigma)
     x_val = _project_unitary(u @ vh, group)
     v = vh.conj().T
     xi = (v * np.log(sigma)) @ vh  # self-adjoint log of the positive factor
@@ -434,10 +453,17 @@ def polar_decompose(g: ComplexGroupElement) -> PolarCoordinates:
 
 
 def imaginary_radius(g: ComplexGroupElement) -> float:
-    """|y| in the polar factorization g = x exp(iy); zero on K itself."""
+    """|y| in the polar factorization g = x exp(iy); zero on K itself.
+
+    Off K, from the singular values alone: |log|g|| for U1, and for SU2,
+    whose positive factor has eigenvalues exp(+-|y|/2), log(sigma_0/sigma_1).
+    """
     if isinstance(g, GroupElement):
         return 0.0
-    return polar_decompose(g).y.norm
+    if g.group is _U1:
+        return abs(math.log(_modulus(g.value)))
+    sigma = _checked_singular_values(np.linalg.svd(g.value, compute_uv=False))
+    return math.log(sigma[0] / sigma[1])
 
 
 # ---------------------------------------------------------------------------
@@ -447,16 +473,20 @@ def imaginary_radius(g: ComplexGroupElement) -> float:
 
 def haar_sample(group: GroupKind, rng: np.random.Generator) -> GroupElement:
     """One exactly-Haar-distributed element."""
-    if group is GroupKind.U1:
+    if group is _U1:
         theta = rng.uniform(0.0, 2.0 * math.pi)
         return GroupElement(group, complex(math.cos(theta), math.sin(theta)))
-    return GroupElement(group, _su2_sample_batch(rng, 1)[0])
+    # _su2_sample_batch(rng, 1)[0] in Python floats, with numpy's operation order
+    q0, q1, q2, q3 = rng.normal(size=4).tolist()
+    norm = math.sqrt(q0 * q0 + q1 * q1 + q2 * q2 + q3 * q3)
+    a, b, c, d = q0 / norm, q1 / norm, q2 / norm, q3 / norm
+    return GroupElement(group, np.array([[a + 1j * d, c + 1j * b], [-c + 1j * b, a - 1j * d]]))
 
 
 def haar_sample_batch(group: GroupKind, rng: np.random.Generator, n: int) -> np.ndarray:
     """n Haar draws as validated values, (n,) for U1 or (n, 2, 2) for SU2:
     the rng stream and the values of n calls of haar_sample."""
-    if group is GroupKind.U1:
+    if group is _U1:
         theta = rng.uniform(0.0, 2.0 * math.pi, size=n)
         values = np.empty(n, dtype=complex)
         values.real, values.imag = np.cos(theta), np.sin(theta)
@@ -518,18 +548,22 @@ class QuadratureResult:
     error: float
 
 
+@functools.lru_cache(maxsize=8)
 def _haar_grid(group: GroupKind, level: int, class_function: bool):
-    """Quadrature nodes as (values, weights): (Q,) unit complex numbers for
-    U1, (Q, 2, 2) matrices for SU2 on the Euler-angle grid, or on the
-    eigenvalue-angle grid when class_function."""
-    if group is GroupKind.U1:
+    """Quadrature nodes as read-only (values, weights), built once per
+    argument triple: (Q,) unit complex numbers for U1, (Q, 2, 2) matrices
+    for SU2 on the Euler-angle grid, or on the eigenvalue-angle grid when
+    class_function."""
+    if group is _U1:
         angles = 2.0 * math.pi * np.arange(level) / level
-        return np.exp(1j * angles), np.full(level, 1.0 / level)
-    if not class_function:
-        return su2_euler_grid(level)
-    thetas, weights = su2_weyl_grid(level)
-    values = np.zeros((thetas.size, 2, 2), dtype=complex)
-    values[:, 0, 0], values[:, 1, 1] = np.exp(1j * thetas), np.exp(-1j * thetas)
+        values, weights = np.exp(1j * angles), np.full(level, 1.0 / level)
+    elif not class_function:
+        values, weights = su2_euler_grid(level)
+    else:
+        thetas, weights = su2_weyl_grid(level)
+        values = np.zeros((thetas.size, 2, 2), dtype=complex)
+        values[:, 0, 0], values[:, 1, 1] = np.exp(1j * thetas), np.exp(-1j * thetas)
+    values.flags.writeable = weights.flags.writeable = False
     return values, weights
 
 
@@ -556,6 +590,7 @@ def haar_integrate(
     method="quadrature": deterministic grids (U1: uniform angles; SU2:
     Gauss-Legendre over Euler angles, or the eigenvalue-angle grid when
     class_function=True).  The error field compares against a coarser grid.
+    The grids are cached and read-only, so f must not write into g.value.
 
     method="monte_carlo": exact Haar sampling, returns an MCEstimate.
     """

@@ -30,6 +30,8 @@ from .groups import (
     haar_sample_batch,
     imaginary_radius,
     validate_values,
+    _SU2,
+    _U1,
 )
 
 MAX_SERIES_TERMS = 10_000
@@ -54,7 +56,7 @@ class IrrepInfo:
 
 
 def _casimir_closed_form(group: GroupKind, label: int) -> float:
-    if group is GroupKind.U1:
+    if group is _U1:
         return float(label * label)
     # spin j = label/2 under the orthonormal basis e_j = i sigma_j / 2
     return label * (label + 2) / 4.0
@@ -77,7 +79,7 @@ def finite_difference_casimir(group: GroupKind, label: int, seed: int = 321) -> 
     for h in steps:
         for coords in h * np.eye(dim):
             shifts += [exp_map(AlgebraVector(group, coords)), exp_map(AlgebraVector(group, -coords))]
-    if group is GroupKind.U1:
+    if group is _U1:
         # Python complex powers: a stacked numpy version moves the last bits
         points = [haar_sample(group, rng) for _ in range(n_points)]
         chis = [character(group, label, g) for g in points]
@@ -118,7 +120,7 @@ def irrep_info(group: GroupKind, label: int) -> IrrepInfo:
     """Representation data; the Casimir is checked once against the
     finite-difference oracle so the normalization cannot drift silently."""
     label = int(label)
-    if group is GroupKind.SU2 and label < 0:
+    if group is _SU2 and label < 0:
         raise ValueError("SU(2) labels are nonnegative integers")
     key = (group, label)
     if key not in _validated_casimirs:
@@ -131,7 +133,7 @@ def irrep_info(group: GroupKind, label: int) -> IrrepInfo:
                     f"closed form {c}, finite differences {c_fd}"
                 )
         _validated_casimirs[key] = c
-    dim = 1 if group is GroupKind.U1 else label + 1
+    dim = 1 if group is _U1 else label + 1
     return IrrepInfo(group, label, dim, _validated_casimirs[key])
 
 
@@ -158,10 +160,12 @@ def su2_characters_from_traces(n_max: int, traces: np.ndarray) -> np.ndarray:
 
 def character(group: GroupKind, label: int, g: ComplexGroupElement) -> complex:
     """Holomorphically continued irreducible character at g."""
-    if group is GroupKind.U1:
+    if group is _U1:
         return complex(g.value**label)
     if label < 0:
         raise ValueError("SU(2) labels are nonnegative integers")
+    if label < 2:  # chi_0 = 1 and chi_1 = tr g, as the recursion returns them
+        return g.trace() if label else 1.0 + 0.0j
     return complex(su2_characters_from_traces(label, np.asarray(g.trace()))[label])
 
 
@@ -181,7 +185,7 @@ class CharacterSeries:
         cleaned = {}
         for label, c in self.coeffs.items():
             label = int(label)
-            if self.group is GroupKind.SU2 and label < 0:
+            if self.group is _SU2 and label < 0:
                 raise ValueError("SU(2) labels are nonnegative integers")
             c = complex(c)
             if c != 0:
@@ -221,7 +225,7 @@ def heat_semigroup(group: GroupKind, t: float, phi: CharacterSeries) -> Characte
 
 def evaluate_series(phi: CharacterSeries, g: ComplexGroupElement) -> complex:
     """Pointwise value of the series at g (holomorphic continuation off K)."""
-    if phi.group is GroupKind.U1:
+    if phi.group is _U1:
         return complex(sum(c * g.value**k for k, c in phi.coeffs.items()))
     return complex(evaluate_series_at_traces(phi, g.trace()))
 
@@ -230,7 +234,7 @@ def evaluate_series_at_traces(phi: CharacterSeries, traces: np.ndarray) -> np.nd
     """Vectorized series evaluation; traces means U(1) values for group U1."""
     traces = np.asarray(traces, dtype=complex)
     out = np.zeros(traces.shape, dtype=complex)
-    if phi.group is GroupKind.U1:
+    if phi.group is _U1:
         for k, c in phi.coeffs.items():
             out += c * traces**k
         return out
@@ -255,7 +259,7 @@ def _series_plan(group: GroupKind, t: float, y_max: float, tol: float) -> tuple:
     The stopping rule depends only on (t, y_max, tol), so every evaluation
     at those arguments shares one plan; off K each polar radius is its own key.
     """
-    u1 = group is GroupKind.U1
+    u1 = group is _U1
     peak = (1.0 if u1 else 4.0) * y_max / t
     if peak > MAX_SERIES_TERMS:
         raise ConvergenceError(
@@ -296,10 +300,10 @@ def heat_kernel(group: GroupKind, t: float, g: ComplexGroupElement) -> Union[flo
         raise ValueError("heat time must be positive")
     on_group = isinstance(g, GroupElement)
     tol = DEFAULT_TOL_COMPACT if on_group else DEFAULT_TOL_COMPLEX
-    if group is GroupKind.SU2 and on_group:
+    if group is _SU2 and on_group:
         # the trace is real on K: the same recurrence in Python floats
         return _su2_series(_series_plan(group, t, 0.0, tol), g.trace().real, 1.0)
-    points = g.value if group is GroupKind.U1 else g.trace()
+    points = g.value if group is _U1 else g.trace()
     val = heat_kernel_at_traces(group, t, points, imaginary_radius(g), tol)
     return float(val.real) if on_group else complex(val)
 
@@ -313,7 +317,7 @@ def heat_kernel_at_traces(
     traces = np.asarray(traces, dtype=complex)
     total = np.ones_like(traces)
     with np.errstate(over="ignore", invalid="ignore"):
-        if group is GroupKind.SU2:
+        if group is _SU2:
             total = _su2_series(coeffs, traces, total)
         else:
             # zpow and zninv are rebound before total first grows in place
@@ -335,19 +339,19 @@ def heat_kernel_at_traces(
 
 def character_product_labels(group: GroupKind, a: int, b: int) -> list[int]:
     """Labels in the decomposition of chi_a * chi_b into characters."""
-    if group is GroupKind.U1:
+    if group is _U1:
         return [a + b]
     return list(range(abs(a - b), a + b + 1, 2))
 
 
 def heat_moment(group: GroupKind, label: int, s: float) -> float:
     """Integral of chi_label against rho_s dx: d_L exp(-s c_L / 2)."""
-    info = irrep_info(group, abs(label) if group is GroupKind.U1 else label)
+    info = irrep_info(group, abs(label) if group is _U1 else label)
     return info.dim * math.exp(-s * info.casimir / 2.0)
 
 
 def rho_s_inner_product(group: GroupKind, a: int, b: int, s: float) -> float:
     """<chi_a, chi_b> in L2(K, rho_s dx), via the character product expansion."""
-    if group is GroupKind.U1:
+    if group is _U1:
         return heat_moment(group, a - b, s)
     return sum(heat_moment(group, m, s) for m in character_product_labels(group, a, b))

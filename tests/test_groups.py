@@ -359,6 +359,41 @@ class TestHaarIntegration:
         assert abs(np.mean(np.cos(angles) ** 2) - 0.25) < 4.0 / math.sqrt(len(angles))
 
 
+class TestHaarGridCache:
+    """haar_integrate and coherent_overlap share one read-only grid per
+    (group, level, class_function); the public grid builders stay fresh."""
+
+    @pytest.mark.parametrize("group, class_function", [(U1, False), (SU2, False), (SU2, True)])
+    def test_repeated_grid_is_shared_and_read_only(self, group, class_function):
+        values, weights = _haar_grid(group, 6, class_function)
+        again = _haar_grid(group, 6, class_function)
+        assert again[0] is values and again[1] is weights
+        assert not values.flags.writeable and not weights.flags.writeable
+
+    @pytest.mark.parametrize("class_function", [False, True])
+    def test_writing_integrand_raises_and_leaves_the_grid(self, class_function):
+        f = lambda g: heat_kernel(SU2, 0.7, g) * character(SU2, 2, g) + 1j * g.value[0, 0].imag
+        before = haar_integrate(SU2, f, level=6, class_function=class_function)
+
+        def writer(g):
+            g.value[0, 0] = 2.0
+            return 0.0
+
+        with pytest.raises(ValueError, match="read-only"):
+            haar_integrate(SU2, writer, level=6, class_function=class_function)
+        assert haar_integrate(SU2, f, level=6, class_function=class_function) == before
+
+    def test_public_grids_are_fresh_and_writable(self):
+        for class_function in (False, True):
+            _haar_grid(SU2, 5, class_function)  # cached grids built by the two below
+        for build in (su2_euler_grid, su2_weyl_grid):
+            first, second = build(5), build(5)
+            for a, b in zip(first, second):
+                assert a.flags.writeable and not np.shares_memory(a, b)
+                a[...] = 0.0  # the next grid is unaffected
+            assert all(np.array_equal(a, b) for a, b in zip(build(5), second))
+
+
 def _su2_probe(g):
     # reads entries beyond the trace, so a wrong node order or value shows
     return heat_kernel(SU2, 1.0, g) * character(SU2, 1, g) + 1j * g.value[0, 1].real

@@ -3,6 +3,8 @@ the program itself: another module, the CLI or the benchmark names it.  A
 name that only unit tests call is code to delete, not an API."""
 
 import ast
+import importlib
+import inspect
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -91,3 +93,23 @@ def test_every_defaulted_parameter_is_passed():
     )
     unpassed = [name for name in unpassed if name not in KEPT_PARAMETERS]
     assert not unpassed, f"defaulted parameters no caller ever sets: {unpassed}"
+
+
+def test_traced_element_layer_stays_plain_functions():
+    """bench/tracing.py wraps a public function only when inspect.isfunction
+    holds and its __module__ is the defining module, and it reads the
+    element product as vars(ComplexGroupElement)["__mul__"].  A cache or
+    another callable wrapper on a public function of groups or spectral, or
+    a __mul__ moved off the class, would drop it from the per-layer
+    metrics without an error."""
+    for stem in ("groups", "spectral"):
+        module = importlib.import_module(f"cylgauge.{stem}")
+        tree = ast.parse((ROOT / "src" / "cylgauge" / f"{stem}.py").read_text())
+        names = [node.name for node in tree.body
+                 if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")]
+        hidden = [name for name in names
+                  if not inspect.isfunction(fn := getattr(module, name))
+                  or fn.__module__ != module.__name__]
+        assert names and not hidden, f"{stem}: public functions the tracer cannot wrap: {hidden}"
+    element = importlib.import_module("cylgauge.groups").ComplexGroupElement
+    assert inspect.isfunction(vars(element).get("__mul__"))
