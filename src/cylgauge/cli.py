@@ -194,7 +194,7 @@ def run_casimir_check(o: dict) -> Report:
     rows = []
     for group, labels in ((GroupKind.SU2, range(5)), (GroupKind.U1, range(-4, 5))):
         for label in labels:
-            info = irrep_info(group, abs(label) if group is GroupKind.U1 else label)
+            info = irrep_info(group, label)
             oracle = finite_difference_casimir(group, label, seed=o["seed"])
             rows.append(
                 ReportRow.deterministic(

@@ -24,7 +24,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .montecarlo import MCEstimate, chunked_mc
+from .montecarlo import MCEstimate, chunked_mc_vector
 
 REPROJECT_EVERY = 64
 
@@ -225,11 +225,6 @@ class ComplexGroupElement:
         # entries beyond 2 leave a defect above 3, which might overflow
         if self._unitary and not (m <= 2.0 and self.unitarity_defect() <= tol):
             raise ValueError("group element is not unitary")
-
-    def det(self) -> complex:
-        if self.group is _U1:
-            return complex(self.value)
-        return _det2(self.value)
 
     def trace(self) -> complex:
         if self.group is _U1:
@@ -550,8 +545,8 @@ class QuadratureResult:
 
 @functools.lru_cache(maxsize=8)
 def _haar_grid(group: GroupKind, level: int, class_function: bool):
-    """Quadrature nodes as read-only (values, weights), built once per
-    argument triple: (Q,) unit complex numbers for U1, (Q, 2, 2) matrices
+    """Quadrature nodes as validated, read-only (values, weights), built once
+    per argument triple: (Q,) unit complex numbers for U1, (Q, 2, 2) matrices
     for SU2 on the Euler-angle grid, or on the eigenvalue-angle grid when
     class_function."""
     if group is _U1:
@@ -563,6 +558,7 @@ def _haar_grid(group: GroupKind, level: int, class_function: bool):
         thetas, weights = su2_weyl_grid(level)
         values = np.zeros((thetas.size, 2, 2), dtype=complex)
         values[:, 0, 0], values[:, 1, 1] = np.exp(1j * thetas), np.exp(-1j * thetas)
+    validate_values(group, values)
     values.flags.writeable = weights.flags.writeable = False
     return values, weights
 
@@ -570,7 +566,7 @@ def _haar_grid(group: GroupKind, level: int, class_function: bool):
 def _haar_quadrature(group: GroupKind, f, level: int, class_function: bool) -> complex:
     values, weights = _haar_grid(group, level, class_function)
     total = 0.0 + 0.0j
-    for g, w in zip(_elements(group, validate_values(group, values)), weights):
+    for g, w in zip(_elements(group, values), weights):
         total += w * f(g)
     return complex(total)
 
@@ -608,7 +604,7 @@ def haar_integrate(
 
         def sampler(rng: np.random.Generator, m: int) -> np.ndarray:
             nodes = _elements(group, haar_sample_batch(group, rng, m))
-            return np.array([f(g) for g in nodes], dtype=complex)
+            return np.array([f(g) for g in nodes], dtype=complex).reshape(m, 1)
 
-        return chunked_mc(sampler, n_samples, seed)
+        return chunked_mc_vector(sampler, 1, n_samples, seed)[0]
     raise ValueError(f"unknown integration method {method!r}")

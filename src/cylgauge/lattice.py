@@ -63,9 +63,6 @@ class LatticeConnection:
     def n_sites(self) -> int:
         return self.values.shape[0]
 
-    def norm_sq(self) -> float:
-        return float(np.sum(np.abs(self.values) ** 2) / self.n_sites)
-
 
 @dataclass(frozen=True, eq=False)
 class LatticeGaugeMap:
@@ -438,44 +435,25 @@ def sample_connection(
     return LatticeConnection(group, next(_gaussian_draw(group, n_sites, s)(rng, 1, 1))[0][0])
 
 
-def sample_complex_batch(group, n_sites, s, hbar, rng, batch):
-    """Real and imaginary parts, each (batch, n_sites, dim), of Z = A + iP
-    drawn from the split Gaussian with densities exp(-q^2/r), exp(-p^2/hbar)
-    per unit-norm coordinate, r = 2s - hbar."""
-    if hbar <= 0:
-        raise ValueError("hbar must be positive")
-    if s <= hbar / 2.0:
-        raise ValueError(f"need s > hbar/2 (got s={s}, hbar={hbar})")
-    r = 2.0 * s - hbar
-    dim = group.algebra_dim
-    re = rng.normal(scale=math.sqrt(r / 2.0 * n_sites), size=(batch, n_sites, dim))
-    im = rng.normal(scale=math.sqrt(hbar / 2.0 * n_sites), size=(batch, n_sites, dim))
-    return re, im
-
-
 # ---------------------------------------------------------------------------
 # Monte Carlo moments of the lattice Gaussian: one coupled-level runner
 # ---------------------------------------------------------------------------
 
 
-def coarsen_coords(coords: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Average adjacent sites (axis 1), written to out when given: an exact
-    sample of the half-resolution Gaussian, strongly coupled to the fine one."""
-    if coords.shape[1] % 2:
-        raise ValueError("site count must be even to coarsen")
-    return np.multiply(0.5, coords[:, 0::2] + coords[:, 1::2], out=out)
-
-
 def _gaussian_draw(group: GroupKind, n_sites: int, s: float, hbar: Optional[float] = None):
     """draw(rng, m, block) yielding real and imaginary parts (b <= block, n_sites, dim) of m
-    configurations of the variance-s Gaussian (imaginary part None) or, with hbar, the complex
-    Gaussian of sample_complex_batch, consuming rng as one whole draw: real part first."""
+    configurations of the variance-s Gaussian (imaginary part None) or, with hbar, of Z = A + iP
+    from the split Gaussian with densities exp(-q^2/r), exp(-p^2/hbar) per unit-norm
+    coordinate, r = 2s - hbar, consuming rng as one whole draw: real part first."""
     shape = (n_sites, group.algebra_dim)
     if hbar is None:
         scale = math.sqrt(s * n_sites)
         return lambda rng, m, block: (
             (rng.normal(scale=scale, size=(min(block, m - lo),) + shape), None) for lo in range(0, m, block))
-    sample_complex_batch(group, n_sites, s, hbar, np.random.default_rng(0), 0)  # rejects a bad (s, hbar) now
+    if hbar <= 0:
+        raise ValueError("hbar must be positive")
+    if s <= hbar / 2.0:
+        raise ValueError(f"need s > hbar/2 (got s={s}, hbar={hbar})")
     re_scale, im_scale = math.sqrt((2.0 * s - hbar) / 2.0 * n_sites), math.sqrt(hbar / 2.0 * n_sites)
 
     def draw(rng: np.random.Generator, m: int, block: int):
@@ -578,8 +556,8 @@ def _coupled_levels(
                 if offset is not None:
                     coords = np.add(coords, offset, out=ws("based", coords.shape, np.result_type(coords, offset)))
                 traces[level, lo:lo + len(re)] = holonomy_traces(group, coords.transpose(flip), workspace=ws)
-                if level + 1 < n_levels:
-                    coarsen_coords(noise[:, :n], out=noise[:, :n // 2])
+                if level + 1 < n_levels:  # average adjacent sites: the coupled N/2 sample
+                    np.multiply(0.5, noise[:, 0:n:2] + noise[:, 1:n:2], out=noise[:, :n // 2])
         del ws, re, im  # free the draw and the buffers before the columns are formed
         per_level = [columns(row) for row in traces]
         cols = [col for level_cols in per_level for col in level_cols]

@@ -97,14 +97,3 @@ def chunked_mc_vector(
         MCEstimate(complex(mean_re[q], mean_im[q]), float(std_err[q]), n_samples)
         for q in range(n_quantities)
     ]
-
-
-def chunked_mc(
-    sampler: Callable[[np.random.Generator, int], np.ndarray], n_samples: int, seed: int
-) -> MCEstimate:
-    """Scalar version, in one thread: sampler(rng, m) returns m complex values."""
-
-    def vec_sampler(rng: np.random.Generator, m: int) -> np.ndarray:
-        return np.asarray(sampler(rng, m), dtype=complex).reshape(m, 1)
-
-    return chunked_mc_vector(vec_sampler, 1, n_samples, seed)[0]

@@ -99,8 +99,7 @@ def laplacian_reduction_check(
     h_elem = holonomy(L)
     lap_series = CharacterSeries(
         group,
-        {k: -irrep_info(group, abs(k) if group is GroupKind.U1 else k).casimir * c
-         for k, c in phi.coeffs.items()},
+        {k: -irrep_info(group, k).casimir * c for k, c in phi.coeffs.items()},
     )
     target = evaluate_series(lap_series, h_elem)
 

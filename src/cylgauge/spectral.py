@@ -118,23 +118,24 @@ _validated_casimirs: Dict[tuple, float] = {}
 
 def irrep_info(group: GroupKind, label: int) -> IrrepInfo:
     """Representation data; the Casimir is checked once against the
-    finite-difference oracle so the normalization cannot drift silently."""
+    finite-difference oracle so the normalization cannot drift silently.
+    U(1) labels k and -k share one Casimir, checked at |k|."""
     label = int(label)
     if group is _SU2 and label < 0:
         raise ValueError("SU(2) labels are nonnegative integers")
-    key = (group, label)
-    if key not in _validated_casimirs:
-        c = _casimir_closed_form(group, label)
-        if abs(label) <= _ORACLE_VALIDATION_MAX_LABEL:
-            c_fd = finite_difference_casimir(group, label)
+    folded = abs(label)
+    if (group, folded) not in _validated_casimirs:
+        c = _casimir_closed_form(group, folded)
+        if folded <= _ORACLE_VALIDATION_MAX_LABEL:
+            c_fd = finite_difference_casimir(group, folded)
             if abs(c_fd - c) > _ORACLE_TOL:
                 raise AssertionError(
-                    f"Casimir mismatch for {group} label {label}: "
+                    f"Casimir mismatch for {group} label {folded}: "
                     f"closed form {c}, finite differences {c_fd}"
                 )
-        _validated_casimirs[key] = c
+        _validated_casimirs[group, folded] = c
     dim = 1 if group is _U1 else label + 1
-    return IrrepInfo(group, label, dim, _validated_casimirs[key])
+    return IrrepInfo(group, label, dim, _validated_casimirs[group, folded])
 
 
 # ---------------------------------------------------------------------------
@@ -196,21 +197,8 @@ class CharacterSeries:
     def single(cls, group: GroupKind, label: int) -> "CharacterSeries":
         return cls(group, {label: 1.0})
 
-    def norm_sq(self) -> float:
-        """Squared L2(K) norm, by character orthonormality."""
-        return float(sum(abs(c) ** 2 for c in self.coeffs.values()))
-
     def max_label(self) -> int:
         return max((abs(k) for k in self.coeffs), default=0)
-
-    def __add__(self, other: "CharacterSeries") -> "CharacterSeries":
-        coeffs = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            coeffs[k] = coeffs.get(k, 0.0) + c
-        return CharacterSeries(self.group, coeffs)
-
-    def __rmul__(self, a: complex) -> "CharacterSeries":
-        return CharacterSeries(self.group, {k: a * c for k, c in self.coeffs.items()})
 
 
 def heat_semigroup(group: GroupKind, t: float, phi: CharacterSeries) -> CharacterSeries:
@@ -346,7 +334,7 @@ def character_product_labels(group: GroupKind, a: int, b: int) -> list[int]:
 
 def heat_moment(group: GroupKind, label: int, s: float) -> float:
     """Integral of chi_label against rho_s dx: d_L exp(-s c_L / 2)."""
-    info = irrep_info(group, abs(label) if group is _U1 else label)
+    info = irrep_info(group, label)
     return info.dim * math.exp(-s * info.casimir / 2.0)
 
 

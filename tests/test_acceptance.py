@@ -15,11 +15,9 @@ import numpy as np
 
 from cylgauge.bargmann import (
     HeatParams,
-    SampledFunction1D,
-    c_transform,
     s_transform_gram_check,
 )
-from cylgauge.cli import run_gauge_check, run_heat_kernel_check, run_polar_check
+from cylgauge.cli import run_euclid_unitarity, run_gauge_check, run_heat_kernel_check, run_polar_check
 from cylgauge.coherent import CoherentLabel, coherent_overlap
 from cylgauge.dynamics import PhasePoint, geodesic_compare, make_constrained_pair
 from cylgauge.groups import (
@@ -76,16 +74,8 @@ def test_criterion_01_euclidean_unitarity():
 
 def test_criterion_02_flat_transform_closed_form():
     budget = Budget(1.0)
-    hbar = 1.0
-    f = SampledFunction1D.from_callable(
-        lambda q: np.exp(-(q**2) / (2.0 * hbar)), math.sqrt(hbar), 96
-    )
-    rng = np.random.default_rng(20)
-    worst = 0.0
-    for _ in range(10):
-        z = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-        expected = math.sqrt(0.5) * np.exp(-(z**2) / (4.0 * hbar))
-        worst = max(worst, abs(c_transform(f, hbar, z) - expected))
+    report = run_euclid_unitarity({"s": 1.0, "hbar": 1.0, "degree": 0, "c_limit": False, "seed": 20})
+    (worst,) = [row.error for row in report.rows if row.quantity == "flat_gaussian_closed_form"]
     assert worst < 1e-8
     elapsed = budget.check()
     print(f"[criterion 02] flat transform closed form: PASS (max err {worst:.2e}, {elapsed:.2f}s)")
@@ -111,7 +101,7 @@ def test_criterion_04_casimir_oracle():
     worst = 0.0
     for group, labels in ((SU2, range(5)), (U1, range(-4, 5))):
         for label in labels:
-            info = irrep_info(group, abs(label) if group is U1 else label)
+            info = irrep_info(group, label)
             for _ in range(20):
                 g = haar_sample(group, rng)
                 lap = _fd_laplacian(group, label, g, 0.01)

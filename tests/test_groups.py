@@ -26,8 +26,9 @@ from cylgauge.groups import (
     su2_euler_grid,
     su2_weyl_grid,
 )
-from cylgauge.montecarlo import chunked_mc
-from cylgauge.spectral import character, heat_kernel
+from cylgauge.coherent import CoherentLabel, coherent_overlap
+from cylgauge.montecarlo import chunked_mc_vector
+from cylgauge.spectral import CharacterSeries, character, heat_kernel
 
 U1, SU2 = GroupKind.U1, GroupKind.SU2
 
@@ -78,7 +79,8 @@ class TestExpMap:
         y = AlgebraVector(SU2, [0.3, -0.1, 0.2])
         g = exp_map(x, y)
         assert isinstance(g, ComplexGroupElement) and not isinstance(g, GroupElement)
-        assert abs(g.det() - 1.0) < 1e-10
+        (a, b), (c, d) = g.value
+        assert abs(a * d - b * c - 1.0) < 1e-10
         assert g.unitarity_defect() > 1e-3  # genuinely off the compact group
 
     def test_group_log_inverts_exp(self):
@@ -146,7 +148,8 @@ class TestProducts:
         for i in range(1_000_000):
             g = factors[i % 64] * g
         assert g.unitarity_defect() < 1e-10
-        assert abs(g.det() - 1.0) < 1e-10
+        (a, b), (c, d) = g.value
+        assert abs(a * d - b * c - 1.0) < 1e-10
 
     def test_u1_long_chain(self):
         z = exp_map(AlgebraVector(U1, [0.1]))
@@ -383,6 +386,21 @@ class TestHaarGridCache:
             haar_integrate(SU2, writer, level=6, class_function=class_function)
         assert haar_integrate(SU2, f, level=6, class_function=class_function) == before
 
+    @pytest.mark.parametrize("use", [
+        lambda: haar_integrate(SU2, lambda g: 1.0, level=6),
+        lambda: coherent_overlap(CoherentLabel(identity(SU2), 1.0), CharacterSeries.single(SU2, 1), quad_level=6),
+    ], ids=["haar_integrate", "coherent_overlap"])
+    def test_corrupted_grid_raises_on_first_use(self, monkeypatch, use):
+        # the grid is checked once, when built, for every reader of the cache
+        def corrupted(level):
+            mats, weights = su2_euler_grid(level)  # this module's name stays unpatched
+            return 1.01 * mats, weights
+
+        monkeypatch.setattr(groups, "su2_euler_grid", corrupted)
+        _haar_grid.cache_clear()
+        with pytest.raises(ValueError, match="determinant 1"):
+            use()
+
     def test_public_grids_are_fresh_and_writable(self):
         for class_function in (False, True):
             _haar_grid(SU2, 5, class_function)  # cached grids built by the two below
@@ -413,13 +431,13 @@ class TestStackedNodes:
         def per_sample(rng, m):
             if group is U1:
                 elems = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, size=m))
-                return np.array([f(GroupElement(group, z)) for z in elems], dtype=complex)
+                return np.array([[f(GroupElement(group, z))] for z in elems], dtype=complex)
             mats = groups._su2_sample_batch(rng, m)
-            return np.array([f(GroupElement(group, u)) for u in mats], dtype=complex)
+            return np.array([[f(GroupElement(group, u))] for u in mats], dtype=complex)
 
         n = 10_001  # one full chunk of 8192 and a partial one
         est = haar_integrate(group, f, method="monte_carlo", n_samples=n, seed=seed)
-        ref = chunked_mc(per_sample, n, seed)
+        (ref,) = chunked_mc_vector(per_sample, 1, n, seed)
         assert complex(est.mean) == complex(ref.mean)
         assert float(est.std_error).hex() == float(ref.std_error).hex()
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cylgauge.montecarlo import MCEstimate, chunked_mc, chunked_mc_vector
+from cylgauge.montecarlo import MCEstimate, chunked_mc_vector
 
 
 def gaussian_sampler(rng, m):
@@ -14,15 +14,15 @@ def gaussian_column(rng, m):
 
 class TestChunkedMC:
     def test_mean_and_error_of_standard_gaussian(self):
-        est = chunked_mc(gaussian_sampler, 50_000, seed=1)
+        (est,) = chunked_mc_vector(gaussian_column, 1, 50_000, seed=1)
         assert est.n_samples == 50_000
         assert abs(est.mean) < 4.0 * est.std_error
         # SE of the mean of N(0,1) is 1/sqrt(n)
         assert est.std_error == pytest.approx(1.0 / np.sqrt(50_000), rel=0.05)
 
     def test_seed_reproducibility(self):
-        a = chunked_mc(gaussian_sampler, 10_000, seed=7)
-        b = chunked_mc(gaussian_sampler, 10_000, seed=7)
+        (a,) = chunked_mc_vector(gaussian_column, 1, 10_000, seed=7)
+        (b,) = chunked_mc_vector(gaussian_column, 1, 10_000, seed=7)
         assert a.mean == b.mean and a.std_error == b.std_error
 
     def test_worker_count_does_not_change_result(self):
@@ -31,8 +31,8 @@ class TestChunkedMC:
         assert a.mean == b.mean and a.std_error == b.std_error
 
     def test_error_scales_as_inverse_sqrt_n(self):
-        small = chunked_mc(gaussian_sampler, 5_000, seed=5)
-        big = chunked_mc(gaussian_sampler, 80_000, seed=5)
+        (small,) = chunked_mc_vector(gaussian_column, 1, 5_000, seed=5)
+        (big,) = chunked_mc_vector(gaussian_column, 1, 80_000, seed=5)
         ratio = big.std_error / small.std_error
         assert ratio == pytest.approx(0.25, rel=0.1)
 
@@ -51,8 +51,8 @@ class TestChunkedMC:
 
     def test_large_offset_keeps_standard_error(self):
         # a sum-of-squares variance loses about 16 digits to a 1e8 mean
-        plain = chunked_mc(lambda rng, m: rng.normal(size=m), 100_000, 1)
-        offset = chunked_mc(lambda rng, m: 1e8 + rng.normal(size=m), 100_000, 1)
+        (plain,) = chunked_mc_vector(lambda rng, m: rng.normal(size=(m, 1)), 1, 100_000, 1)
+        (offset,) = chunked_mc_vector(lambda rng, m: 1e8 + rng.normal(size=(m, 1)), 1, 100_000, 1)
         assert offset.std_error == pytest.approx(plain.std_error, rel=1e-6)
 
     def test_shape_mismatch_rejected(self):
@@ -64,7 +64,7 @@ class TestChunkedMC:
 
     def test_invalid_sizes(self):
         with pytest.raises(ValueError):
-            chunked_mc(gaussian_sampler, 0, seed=1)
+            chunked_mc_vector(gaussian_column, 1, 0, seed=1)
         with pytest.raises(ValueError):
             chunked_mc_vector(gaussian_column, 1, 10, seed=1, chunk_size=0)
 

@@ -1,6 +1,8 @@
-"""Every public top-level function and class of the package is reached by
-the program itself: another module, the CLI or the benchmark names it.  A
-name that only unit tests call is code to delete, not an API."""
+"""Every public top-level function and class of the package, and every
+public method and property of a public class, is reached by the program
+itself: another module, the CLI or the benchmark names it (for methods, the
+acceptance criteria count too).  A name that only unit tests call is code
+to delete, not an API."""
 
 import ast
 import importlib
@@ -10,23 +12,49 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = sorted(p for p in (ROOT / "src" / "cylgauge").glob("*.py") if p.name != "__init__.py")
 BENCH = sorted((ROOT / "bench").glob("*.py"))
+ACCEPTANCE = ROOT / "tests" / "test_acceptance.py"
 
 
-def test_every_public_name_is_reached():
-    used, defined = set(), {}
-    for path in MODULES + BENCH:
-        tree = ast.parse(path.read_text())
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
+def _used_names(paths, attributes_only=False):
+    """Every attribute name, and unless attributes_only every bare name, in paths."""
+    used = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and not attributes_only:
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
-        if path in MODULES:
-            for node in tree.body:
-                if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
-                    defined[node.name] = path.stem
-    unreached = sorted(f"{module}.{name}" for name, module in defined.items() if name not in used)
+    return used
+
+
+def _public_classes(tree):
+    return [node for node in tree.body if isinstance(node, ast.ClassDef) and not node.name.startswith("_")]
+
+
+def test_every_public_name_is_reached():
+    used = _used_names(MODULES + BENCH)
+    unreached = sorted(
+        f"{path.stem}.{node.name}"
+        for path in MODULES
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_") and node.name not in used
+    )
     assert not unreached, f"public names no module, CLI command or benchmark reaches: {unreached}"
+
+
+def test_every_public_method_is_reached():
+    """Methods and properties are reached as attributes, so a local variable
+    of the same name does not count; dunder and private methods are exempt."""
+    used = _used_names(MODULES + BENCH + [ACCEPTANCE], attributes_only=True)
+    unreached = sorted(
+        f"{path.stem}.{cls.name}.{node.name}"
+        for path in MODULES
+        for cls in _public_classes(ast.parse(path.read_text()))
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_") and node.name not in used
+    )
+    assert not unreached, f"public methods no module, CLI command, benchmark or criterion reaches: {unreached}"
 
 
 def _passed_params(paths):
@@ -52,13 +80,12 @@ def _defaulted_params(tree):
     each defaulted parameter of a public function, public method or
     constructor; index None marks a keyword-only parameter."""
     scopes = [(node, node.name, node.name, 0) for node in tree.body if isinstance(node, ast.FunctionDef)]
-    for cls in tree.body:
-        if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_"):
-            for node in cls.body:
-                if isinstance(node, ast.FunctionDef):
-                    callee = cls.name if node.name == "__init__" else node.name
-                    static = any(getattr(d, "id", None) == "staticmethod" for d in node.decorator_list)
-                    scopes.append((node, callee, f"{cls.name}.{node.name}", 0 if static else 1))
+    for cls in _public_classes(tree):
+        for node in cls.body:
+            if isinstance(node, ast.FunctionDef):
+                callee = cls.name if node.name == "__init__" else node.name
+                static = any(getattr(d, "id", None) == "staticmethod" for d in node.decorator_list)
+                scopes.append((node, callee, f"{cls.name}.{node.name}", 0 if static else 1))
     for node, callee, qualname, skip in scopes:
         if callee.startswith("_"):
             continue
@@ -83,7 +110,7 @@ def test_every_defaulted_parameter_is_passed():
     always leave at its default is a constant, not an option.  Passed means
     by keyword name (the benchmark calls through wrappers), or positionally
     to a callee of the function's name."""
-    keywords, positions = _passed_params(MODULES + BENCH + [ROOT / "tests" / "test_acceptance.py"])
+    keywords, positions = _passed_params(MODULES + BENCH + [ACCEPTANCE])
     unpassed = sorted(
         f"{path.stem}.{qualname}({param})"
         for path in MODULES

@@ -10,12 +10,11 @@ from cylgauge.lattice import (
     LatticeConnection,
     _coupled_levels,
     _gaussian_draw,
-    coarsen_coords,
     holonomy,
     pushforward_moment,
     smooth_connection,
 )
-from cylgauge.montecarlo import MCEstimate, chunked_mc
+from cylgauge.montecarlo import MCEstimate, chunked_mc_vector
 from cylgauge.reduction import (
     FDStepError,
     gram_isometry_check,
@@ -183,9 +182,9 @@ class TestGramIsometry:
             from cylgauge.lattice import holonomy_traces
 
             chi = su2_characters_from_traces(1, holonomy_traces(SU2, coords))[1]
-            return np.abs(chi) ** 2 + 0.0j
+            return (np.abs(chi) ** 2 + 0.0j)[:, None]
 
-        real_side = chunked_mc(sampler, 100_000, seed=5)
+        (real_side,) = chunked_mc_vector(sampler, 1, 100_000, seed=5)
         assert abs(real_side.mean - target) < 3.0 * real_side.std_error + 8.0 / n
 
     def test_s_trend_of_targets_toward_identity(self):
@@ -213,15 +212,12 @@ class TestBiasOrder:
         assert study.extrapolated_z() < 4.0
 
     def test_coarsen_preserves_gaussian_law(self):
+        # the runner's coupled N/2 sample: adjacent sites of the N-site draw averaged
         rng = np.random.default_rng(11)
         fine = rng.normal(scale=math.sqrt(32.0), size=(4000, 32, 1))
-        half = coarsen_coords(fine)
+        half = 0.5 * (fine[:, 0::2] + fine[:, 1::2])
         assert half.shape == (4000, 16, 1)
         assert abs(half.var() - 16.0) < 4.0 * 16.0 * math.sqrt(2.0 / half.size)
-
-    def test_coarsen_requires_even_sites(self):
-        with pytest.raises(ValueError):
-            coarsen_coords(np.zeros((10, 7, 3)))
 
 
 class TestCoupledLevels:

