@@ -155,8 +155,6 @@ _SINHC_COEFFS = [1.0 / math.factorial(2 * k + 1) for k in range(SERIES_DEGREE + 
 class _Workspace(dict):
     """Scratch arrays of one thread: a buffer per name and dtype, grown on demand."""
 
-    block_values = BLOCK_VALUES  # coordinates per kernel block
-
     def __call__(self, name: str, shape: tuple, dtype=float) -> np.ndarray:
         key, size = (name, np.dtype(dtype)), math.prod(shape)
         if key not in self or self[key].size < size:
@@ -199,9 +197,11 @@ def _cosh_sinhc(u: np.ndarray, e: np.ndarray, ws: _Workspace) -> np.ndarray:
 def _su2_steps(coords: np.ndarray, real: bool, ws: _Workspace) -> np.ndarray:
     """Steps exp((i/2) c.sigma / N) for coords (B, N, 3) as a (4, N, B) array
     [w, x, y, z] in ws: (w, b) for real coordinates, (w, v) for complex ones."""
-    xs, dtype = coords.transpose(2, 1, 0), (float if real else complex)
+    xs, dtype, n = coords.transpose(2, 1, 0), (float if real else complex), coords.shape[1]
     q = ws("q0", (4,) + xs.shape[1:], dtype)
-    comps = np.divide(xs, coords.shape[1], out=q[1:] if real else ws("comps", xs.shape, dtype))
+    # complex x / N is Smith's (Re x + Im x * 0) * (1 / N): x * (1 / N) has its bits, bar zero signs
+    # (-0.0 + 1j gives +0.0 by division, -0.0 here), at a quarter of the cost; float x / N has no twin
+    comps = np.divide(xs, n, out=q[1:]) if real else np.multiply(xs, 1.0 / n, out=ws("comps", xs.shape, dtype))
     sq, t = ws("t0", xs.shape[1:], dtype), ws("t1", xs.shape[1:], dtype)
     np.multiply(comps[0], comps[0], out=sq)
     sq += np.multiply(comps[1], comps[1], out=t)
@@ -245,7 +245,7 @@ def _holonomy_quats(coords: np.ndarray, ws: _Workspace, w_only: bool = False) ->
     array [w, x, y, z], or (1, B) [w] when w_only, worked through in blocks."""
     real = not np.iscomplexobj(coords)
     quats = np.empty((1 if w_only else 4, len(coords)), dtype=float if real else complex)
-    rows = max(1, ws.block_values // (coords.shape[1] * 3))
+    rows = max(1, BLOCK_VALUES // (coords.shape[1] * 3))
     for lo in range(0, len(coords), rows):
         q, spare = _su2_steps(coords[lo:lo + rows], real, ws), "q1"
         while (n := q.shape[1]) > 1:
@@ -310,10 +310,7 @@ def holonomy(L: LatticeConnection, method: str = "product"):
     n = L.n_sites
     substeps = 4
     dt = 1.0 / (substeps * n)
-    if L.group is GroupKind.U1:
-        h = 1.0 + 0.0j
-    else:
-        h = np.eye(2, dtype=complex)
+    h = 1.0 + 0.0j if L.group is GroupKind.U1 else np.eye(2, dtype=complex)
     for k in range(n):
         a = embed_algebra(L.group, coords[k])
         # one classical RK4 substep of h' = a h with constant a equals
@@ -440,6 +437,11 @@ def sample_connection(
 # ---------------------------------------------------------------------------
 
 
+def _normal(rng: np.random.Generator, scale: float, size: tuple) -> np.ndarray:
+    """rng.normal(scale=scale, size=size) bit for bit (0 + scale z); unlike normal(), fills without the GIL."""
+    return np.multiply(z := rng.standard_normal(size), scale, out=z)
+
+
 def _gaussian_draw(group: GroupKind, n_sites: int, s: float, hbar: Optional[float] = None):
     """draw(rng, m, block) yielding real and imaginary parts (b <= block, n_sites, dim) of m
     configurations of the variance-s Gaussian (imaginary part None) or, with hbar, of Z = A + iP
@@ -449,7 +451,7 @@ def _gaussian_draw(group: GroupKind, n_sites: int, s: float, hbar: Optional[floa
     if hbar is None:
         scale = math.sqrt(s * n_sites)
         return lambda rng, m, block: (
-            (rng.normal(scale=scale, size=(min(block, m - lo),) + shape), None) for lo in range(0, m, block))
+            (_normal(rng, scale, (min(block, m - lo),) + shape), None) for lo in range(0, m, block))
     if hbar <= 0:
         raise ValueError("hbar must be positive")
     if s <= hbar / 2.0:
@@ -457,9 +459,9 @@ def _gaussian_draw(group: GroupKind, n_sites: int, s: float, hbar: Optional[floa
     re_scale, im_scale = math.sqrt((2.0 * s - hbar) / 2.0 * n_sites), math.sqrt(hbar / 2.0 * n_sites)
 
     def draw(rng: np.random.Generator, m: int, block: int):
-        re = rng.normal(scale=re_scale, size=(m,) + shape)
+        re = _normal(rng, re_scale, (m,) + shape)
         for lo in range(0, m, block):
-            yield re[lo:lo + block], rng.normal(scale=im_scale, size=re[lo:lo + block].shape)
+            yield re[lo:lo + block], _normal(rng, im_scale, re[lo:lo + block].shape)
 
     return draw
 
@@ -539,12 +541,10 @@ def _coupled_levels(
     # blocks are held in the layout the kernel reads: SU2 (dim, N, b), U1 (b, N, 1)
     flip = (2, 1, 0) if group is GroupKind.SU2 else (0, 1, 2)
     offsets = [None] * n_levels if bases is None else [np.asarray(b)[None].transpose(flip) for b in bases]
-    values = BLOCK_VALUES * max(1, n_workers or 1)  # each numpy call retakes the GIL: workers need long calls
-    block = max(1, values // ((n_fine >> (n_levels - 1)) * group.algebra_dim))
+    block = max(1, BLOCK_VALUES // ((n_fine >> (n_levels - 1)) * group.algebra_dim))
 
     def sampler(rng: np.random.Generator, m: int) -> np.ndarray:
         ws, traces = _Workspace(), np.empty((n_levels, m), dtype=complex)
-        ws.block_values = values
         for lo, (re, im) in zip(range(0, m, block), draw(rng, m, block)):
             noise = ws("noise", re.transpose(flip).shape, float if im is None else complex)
             noise.real[...] = re.transpose(flip)

@@ -588,6 +588,21 @@ class TestKernelOracle:
             assert traces[i] == holonomy_traces(SU2, coords[i:i + 1])[0]
             assert np.array_equal(hols[i], holonomy_batch(SU2, coords[i:i + 1])[0])
 
+    @pytest.mark.parametrize("n, digest", [
+        (3, "002e6b8c7a74008764838c5ea552f72ba955d149967dfa01fd56e135e4a19dc5"),
+        (7, "08c562f54ffa7a462c973e6b5758874cc99f8384f4c57722f57a3f9ddfb6a4ba"),
+        (12, "9c0f3642ff5fe99415465200a69e0da8e0d3eebe6be332b1400efa5d174550d1"),
+        (32, "671071b7c432a49d658376ee7ac2ea0b415079becca0f8bc8e5fa8c826558f6d"),
+        (64, "6307637426ab8b5a799a8b3dfb847b25fd92530991e3a0fe68860218ba5b42b4"),
+    ])
+    def test_batched_complex_traces_pinned(self, n, digest):
+        # several kernel blocks at small N, every third row scaled past the
+        # halving threshold; the digests are those of complex steps formed
+        # as x / N, which x * (1 / N) must keep bit for bit
+        coords = self.draw(n, 6000, True, 1.0, 80 + n)
+        coords[::3] *= 8.0
+        assert hashlib.sha256(holonomy_traces(SU2, coords).tobytes()).hexdigest() == digest
+
     @pytest.mark.parametrize("complexified", [False, True])
     @pytest.mark.parametrize("n", [2, 3, 7, 12, 64])
     def test_zero_and_near_zero_coordinates(self, n, complexified):
@@ -651,7 +666,7 @@ class TestStreamedSampler:
     block; its output must keep the bits of the whole-chunk computation."""
 
     @staticmethod
-    def streamed(monkeypatch, group, draw, columns, n_levels, n_fine, bases=None):
+    def streamed(monkeypatch, group, draw, columns, n_levels, n_fine, bases=None, n_workers=None):
         """The sampler closure that _coupled_levels hands to chunked_mc_vector."""
         captured = []
 
@@ -661,7 +676,7 @@ class TestStreamedSampler:
 
         monkeypatch.setattr(lattice, "chunked_mc_vector", capture)
         targets = [(0.0,) * n_levels] * len(columns(np.ones(1, dtype=complex)))
-        lattice._coupled_levels(group, draw, columns, targets, n_fine, 1, seed=0, bases=bases)
+        lattice._coupled_levels(group, draw, columns, targets, n_fine, 1, seed=0, bases=bases, n_workers=n_workers)
         return captured[0]
 
     @staticmethod
@@ -752,6 +767,24 @@ class TestStreamedSampler:
             one_re, one_im = self.complex_parts(rng, 16, hbar, (1000, 16, 3))
             assert re.tobytes() == one_re.tobytes()
             assert np.concatenate([im for _, im in blocks]).tobytes() == one_im.tobytes()
+
+    def test_chunk_memory_does_not_grow_with_workers(self, monkeypatch):
+        # each worker thread runs its chunks alone: its blocks and buffers
+        # must be the same size whatever the worker count
+        peaks = {}
+        for n_workers in (1, 8):
+            sampler = self.streamed(
+                monkeypatch, SU2, lattice._gaussian_draw(SU2, 32, 2.0, 0.5), self.columns(SU2), 1, 32,
+                n_workers=n_workers,
+            )
+            sampler(np.random.default_rng(3), 8192)  # warm caches, so only the chunk's own arrays are traced
+            tracemalloc.start()
+            try:
+                sampler(np.random.default_rng(3), 8192)
+                peaks[n_workers] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[8] / peaks[1] - 1.0) < 0.05, {w: f"{p / 2**20:.1f} MiB" for w, p in peaks.items()}
 
     def test_bad_complex_parameters_fail_before_any_draw(self):
         with pytest.raises(ValueError, match="s > hbar/2"):
