@@ -36,11 +36,11 @@ class HeatParams:
     r: float = field(init=False)
 
     def __post_init__(self):
-        if self.hbar <= 0:
-            raise ValueError("hbar must be positive")
-        if self.s <= self.hbar / 2.0:
+        if not 0.0 < self.hbar < math.inf:  # NaN fails too
+            raise ValueError("hbar must be positive and finite")
+        if not self.hbar / 2.0 < self.s < math.inf:
             raise ValueError(
-                f"need s > hbar/2 (got s={self.s}, hbar={self.hbar}); "
+                f"need finite s > hbar/2 (got s={self.s}, hbar={self.hbar}); "
                 "the transform is unitary only in that range"
             )
         object.__setattr__(self, "r", 2.0 * self.s - self.hbar)

@@ -15,7 +15,7 @@ versus Haar quadrature) and through sampled resolution-of-identity Grams.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -42,8 +42,8 @@ class CoherentLabel:
     s: float = math.inf
 
     def __post_init__(self):
-        if self.hbar <= 0:
-            raise ValueError("hbar must be positive")
+        if not 0.0 < self.hbar < math.inf:  # NaN fails too
+            raise ValueError("hbar must be positive and finite")
         if not self.s > self.hbar / 2.0:  # NaN and -inf fail too
             raise ValueError("s must exceed hbar/2 (math.inf selects the limit states)")
 
@@ -117,12 +117,15 @@ def resolution_identity_check(
     for s in s_values:
         studies = gram_matrix_refinement(
             group, n_max, s, hbar, n_sites, n_samples, seed,
-            n_levels=1, n_workers=n_workers, conj_first=True,
+            n_levels=1, n_workers=n_workers,
         )
         off_diag = 0.0
         diag_gap = 0.0
         for (a, b), study in studies.items():
+            # <chi_a|state><state|chi_b> is the conjugate of the Gram moment and
+            # the target is real; 0.0 - im keeps a zero imaginary part +0.0
             est, target = study.estimates[0], study.target
+            est = replace(est, mean=complex(est.mean.real, 0.0 - est.mean.imag))
             rows.append(ReportRow.from_estimate(f"resolution[s={s:g}][{a},{b}]", est, target))
             if a == b:
                 diag_gap = max(diag_gap, abs(target - 1.0))

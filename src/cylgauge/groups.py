@@ -15,7 +15,6 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import cmath
-import contextlib
 import functools
 import math
 from dataclasses import dataclass
@@ -189,42 +188,24 @@ class ComplexGroupElement:
     def _validate(self):
         # one pass, in Python complexes (numpy's per-call overhead on 2x2 arrays
         # would dominate every product), accepts a value within tol: every
-        # comparison is False on NaN or inf, so passing implies finite entries
+        # comparison is False on NaN or inf, so passing implies finite entries.
+        # validate_values judges a miss: it names the first check that fails
         tol, v = self._validate_tol, self.value
-        if self.group is _U1:
-            try:
+        try:
+            if self.group is _U1:
                 if abs(abs(v) - 1.0) <= tol if self._unitary else v != 0 and cmath.isfinite(v):
                     return
-            except OverflowError:  # |v| beyond the double range
-                pass
-            if v == 0 or not cmath.isfinite(v):
-                raise ValueError("U(1)-side elements must be finite and nonzero")
-            raise ValueError("group element is not unitary")
-        (a, b), (c, d) = v.tolist()
-        try:  # the det error, then the three terms of unitarity_defect
-            if abs(a * d - b * c - 1.0) <= tol and (not self._unitary or (
-                abs(a.real * a.real + a.imag * a.imag + c.real * c.real + c.imag * c.imag - 1.0) <= tol
-                and abs(b.real * b.real + b.imag * b.imag + d.real * d.real + d.imag * d.imag - 1.0) <= tol
-                and abs(a.conjugate() * b + c.conjugate() * d) <= tol
-            )):
-                return
+            else:  # the det error, then the three terms of unitarity_defect
+                (a, b), (c, d) = v.tolist()
+                if abs(a * d - b * c - 1.0) <= tol and (not self._unitary or (
+                    abs(a.real * a.real + a.imag * a.imag + c.real * c.real + c.imag * c.imag - 1.0) <= tol
+                    and abs(b.real * b.real + b.imag * b.imag + d.real * d.real + d.imag * d.imag - 1.0) <= tol
+                    and abs(a.conjugate() * b + c.conjugate() * d) <= tol
+                )):
+                    return
         except OverflowError:  # a modulus beyond the double range
             pass
-        # a failing value: the ordered checks name the first check it fails
-        if not all(map(cmath.isfinite, (a, b, c, d))):
-            raise ValueError("matrix entries must be finite")
-        m = err = math.inf  # where a modulus overflows; at m = inf no verdict reads err
-        with contextlib.suppress(OverflowError):
-            m = max(1.0, abs(a), abs(b), abs(c), abs(d))
-            err = abs(a * d - b * c - 1.0)
-        # det cancellation error grows with the entry scale m * m
-        if not (self._unitary or math.isfinite(err + m * m)):
-            raise OverflowError("SL(2,C) determinant check overflows double precision")
-        if err > tol * (m * m):
-            raise ValueError("SL(2,C) elements must have determinant 1")
-        # entries beyond 2 leave a defect above 3, which might overflow
-        if self._unitary and not (m <= 2.0 and self.unitarity_defect() <= tol):
-            raise ValueError("group element is not unitary")
+        validate_values(self.group, np.asarray(v)[None], self._unitary)
 
     def trace(self) -> complex:
         if self.group is _U1:
@@ -234,7 +215,7 @@ class ComplexGroupElement:
 
     def unitarity_defect(self) -> float:
         """Largest entry of |V* V - I|; the off-diagonal pair are conjugates.
-        A modulus beyond the double range reads as inf, as in _validate."""
+        A modulus beyond the double range reads as inf, as in validate_values."""
         try:
             if self.group is _U1:
                 return abs(abs(self.value) - 1.0)
@@ -290,25 +271,34 @@ class GroupElement(ComplexGroupElement):
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow reads as inf, and fails
-def validate_values(group: GroupKind, values: np.ndarray) -> np.ndarray:
-    """GroupElement's checks, with its tolerance and messages, over a stack
-    of K values: (...,) for U1, (..., 2, 2) for SU2.  Returns values."""
-    tol = GroupElement._validate_tol
+def validate_values(group: GroupKind, values: np.ndarray, unitary: bool = True) -> np.ndarray:
+    """The element checks, in order, with their tolerance and messages, over
+    a stack of values: (...,) for U1, (..., 2, 2) for SU2.  unitary judges
+    K values as GroupElement, else C* or SL(2, C) values as
+    ComplexGroupElement.  Returns values."""
+    tol, defect = ComplexGroupElement._validate_tol, 0.0
     if group is _U1:
         if not np.all(np.isfinite(values) & (values != 0)):
             raise ValueError("U(1)-side elements must be finite and nonzero")
-        defect = np.abs(np.abs(values) - 1.0)
+        if unitary:
+            defect = np.abs(np.abs(values) - 1.0)
     else:
         if not np.all(np.isfinite(values)):
             raise ValueError("matrix entries must be finite")
         a, b, c, d = values[..., 0, 0], values[..., 0, 1], values[..., 1, 0], values[..., 1, 1]
+        # det cancellation error grows with the entry scale; an err within tol
+        # passes at any scale, and past it an overflowing err or scale is no verdict
         scale = np.maximum(1.0, np.max(np.abs(values), axis=(-2, -1)) ** 2)
-        if np.any(np.abs(a * d - b * c - 1.0) > tol * scale):
+        err = np.abs(a * d - b * c - 1.0)
+        if not (unitary or np.all((err <= tol) | np.isfinite(err + scale))):
+            raise OverflowError("SL(2,C) determinant check overflows double precision")
+        if np.any(err > tol * scale):
             raise ValueError("SL(2,C) elements must have determinant 1")
-        sq = values.real**2 + values.imag**2
-        col0, col1 = sq[..., 0, 0] + sq[..., 1, 0], sq[..., 0, 1] + sq[..., 1, 1]
-        off = np.abs(a.conj() * b + c.conj() * d)
-        defect = np.maximum(np.maximum(np.abs(col0 - 1.0), np.abs(col1 - 1.0)), off)
+        if unitary:
+            sq = values.real**2 + values.imag**2
+            col0, col1 = sq[..., 0, 0] + sq[..., 1, 0], sq[..., 0, 1] + sq[..., 1, 1]
+            off = np.abs(a.conj() * b + c.conj() * d)
+            defect = np.maximum(np.maximum(np.abs(col0 - 1.0), np.abs(col1 - 1.0)), off)
     if not np.all(defect <= tol):  # a NaN defect fails too
         raise ValueError("group element is not unitary")
     return values
@@ -597,8 +587,6 @@ def haar_integrate(
         coarse = _haar_quadrature(group, f, max(2, level // 2), class_function)
         return QuadratureResult(fine, abs(fine - coarse))
     if method == "monte_carlo":
-        if n_samples < 1:
-            raise ValueError("monte_carlo requires n_samples >= 1")
         if seed is None:
             raise ValueError("monte_carlo requires a seed")
 

@@ -19,6 +19,7 @@ from typing import Optional, Union
 
 import numpy as np
 
+from .bargmann import HeatParams
 from .groups import (
     ComplexGroupElement,
     GroupElement,
@@ -427,8 +428,6 @@ def sample_connection(
     group: GroupKind, n_sites: int, s: float, rng: np.random.Generator
 ) -> LatticeConnection:
     """Draw from the lattice Gaussian with formal density exp(-|A|^2 / 2s)."""
-    if s < 0:
-        raise ValueError("variance parameter s must be nonnegative")
     return LatticeConnection(group, next(_gaussian_draw(group, n_sites, s)(rng, 1, 1))[0][0])
 
 
@@ -449,14 +448,13 @@ def _gaussian_draw(group: GroupKind, n_sites: int, s: float, hbar: Optional[floa
     coordinate, r = 2s - hbar, consuming rng as one whole draw: real part first."""
     shape = (n_sites, group.algebra_dim)
     if hbar is None:
+        if not 0.0 <= s < math.inf:  # NaN fails too
+            raise ValueError(f"variance parameter s must be finite and nonnegative (got s={s})")
         scale = math.sqrt(s * n_sites)
         return lambda rng, m, block: (
             (_normal(rng, scale, (min(block, m - lo),) + shape), None) for lo in range(0, m, block))
-    if hbar <= 0:
-        raise ValueError("hbar must be positive")
-    if s <= hbar / 2.0:
-        raise ValueError(f"need s > hbar/2 (got s={s}, hbar={hbar})")
-    re_scale, im_scale = math.sqrt((2.0 * s - hbar) / 2.0 * n_sites), math.sqrt(hbar / 2.0 * n_sites)
+    r = HeatParams(s, hbar).r
+    re_scale, im_scale = math.sqrt(r / 2.0 * n_sites), math.sqrt(hbar / 2.0 * n_sites)
 
     def draw(rng: np.random.Generator, m: int, block: int):
         re = _normal(rng, re_scale, (m,) + shape)

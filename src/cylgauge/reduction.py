@@ -74,9 +74,7 @@ def lattice_laplacian(
     return complex(n * second.sum())
 
 
-def laplacian_reduction_check(
-    phi: CharacterSeries, L: LatticeConnection, fd_step: Optional[float] = None
-) -> Report:
+def laplacian_reduction_check(phi: CharacterSeries, L: LatticeConnection) -> Report:
     """Compare the lattice Laplacian of phi(h(A)) with (Delta_K phi)(h(A)).
 
     The finite difference is evaluated at steps h and h/2 and Richardson
@@ -84,8 +82,8 @@ def laplacian_reduction_check(
     FDStepError is raised.
     """
     group = L.group
-    if fd_step is None:
-        fd_step = 1e-4 * max(1.0, float(np.max(np.abs(L.values))))
+    fd_step = (1e-3 * L.n_sites if group is GroupKind.U1  # phi(h(A)) sees only mean(A): roundoff ~ (N / step)^2
+               else 1e-4 * max(1.0, float(np.max(np.abs(L.values)))))
     d_h = lattice_laplacian(phi, L, fd_step)
     d_h2 = lattice_laplacian(phi, L, fd_step / 2.0)
     scale = max(abs(d_h), abs(d_h2), 1e-12)
@@ -129,8 +127,8 @@ def semigroup_reduction_check(
     """E_B[phi(h(base + B))] with B the time-hbar lattice Gaussian, against
     the closed form: evaluate the heat-flowed series at the (complexified)
     holonomy of the base point."""
-    if hbar <= 0:
-        raise ValueError("hbar must be positive")
+    if not 0.0 < hbar < math.inf:  # NaN fails too
+        raise ValueError("hbar must be positive and finite")
     group, n = base.group, base.n_sites
     target = evaluate_series(heat_semigroup(group, hbar, phi), holonomy(base))
     (study,) = _coupled_levels(
@@ -204,8 +202,8 @@ def radial_laplacian_check(
     circular orbits of circumference 2 pi r; both to 1e-6."""
     h, tol = 1e-4, 1e-6
     r_points = list(r_points)
-    if any(r <= 1e-3 for r in r_points):  # within ten steps of r = 0
-        raise ValueError("radii too close to the singular orbit at r = 0")
+    if not all(1e-3 < r < math.inf for r in r_points):  # NaN fails too
+        raise ValueError("radii must be finite and above 1e-3, ten steps from the singular orbit r = 0")
 
     rows = []
     for r in r_points:
@@ -325,30 +323,24 @@ def gram_matrix_refinement(
     seed: int,
     n_levels: int = 2,
     n_workers: Optional[int] = None,
-    conj_first: bool = False,
 ) -> dict:
     """All Gram entries a <= b <= n_max from one coupled sample stream.
 
     Returns {(a, b): RefinementStudy}; much cheaper than per-entry studies
     because the holonomy products are shared.  The Monte Carlo side
     estimates E[chi_a(h_C(Z)) conj(chi_b(h_C(Z)))] exp(-hbar (c_a + c_b) / 2)
-    against <chi_a, chi_b> in L2(K, rho_s dx); conj_first swaps which factor
-    is conjugated, matching the overlap-ordered form
-    E[<chi_a|state> <state|chi_b>] of the resolution-of-identity check.
+    against <chi_a, chi_b> in L2(K, rho_s dx).  A bad (s, hbar) raises
+    before any target or draw.
     """
+    draw = _gaussian_draw(group, n_fine, s, hbar)
     labels = range(n_max + 1)
     pairs = [(a, b) for a in labels for b in labels if a <= b]
     decay = {a: math.exp(-hbar * irrep_info(group, a).casimir / 2.0) for a in labels}
 
     def columns(traces: np.ndarray) -> list:
         chars = _characters(group, labels, traces)
-        if conj_first:
-            return [decay[a] * decay[b] * np.conj(chars[a]) * chars[b] for a, b in pairs]
         return [decay[a] * decay[b] * chars[a] * np.conj(chars[b]) for a, b in pairs]
 
     targets = [(rho_s_inner_product(group, a, b, s),) * n_levels for a, b in pairs]
-    studies = _coupled_levels(
-        group, _gaussian_draw(group, n_fine, s, hbar), columns, targets, n_fine,
-        n_samples, seed, n_workers=n_workers,
-    )
+    studies = _coupled_levels(group, draw, columns, targets, n_fine, n_samples, seed, n_workers=n_workers)
     return dict(zip(pairs, studies))

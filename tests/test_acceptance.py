@@ -318,11 +318,10 @@ def test_criterion_10_polar_decomposition():
 
 def test_criterion_11_laplacian_reduction():
     budget = Budget(60.0)
-    # abelian tier: identity exact up to finite differences (a coarser step
-    # than the 1e-4 default keeps roundoff below the 1e-6 criterion)
+    # abelian tier: identity exact up to finite differences, at the default
+    # step the CLI uses
     L = smooth_connection(U1, 24, np.random.default_rng(32), amplitude=1.5)
-    step = 1e-3 * float(np.max(np.abs(L.values)))
-    rep = laplacian_reduction_check(CharacterSeries.single(U1, 2), L, fd_step=step)
+    rep = laplacian_reduction_check(CharacterSeries.single(U1, 2), L)
     u1_err = rep.rows[0].error / max(1.0, abs(rep.rows[0].target))
     assert u1_err < 1e-6
 

@@ -20,6 +20,10 @@ from cylgauge.reporting import CSV_HEADER, Report, ReportRow
 
 from test_readme_commands import readme_commands
 
+HBAR_MESSAGE = "hbar must be positive and finite"
+S_MESSAGE = "need finite s > hbar/2 (got s={s}, hbar=0.5); the transform is unitary only in that range"
+RADII_MESSAGE = "radii must be finite and above 1e-3, ten steps from the singular orbit r = 0"
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -137,6 +141,23 @@ class TestConfigHandling:
         ("s must exceed hbar/2 (math.inf selects the limit states)", ["coherent-overlap", "--s=-inf"]),
     ], ids=["empty-s-list", "empty-radii", "zero-t-steps", "zero-quad-level", "s-zero", "s-minus-inf"])
     def test_empty_or_zero_options_exit_2(self, capsys, message, argv):
+        self.assert_config_error(capsys, message, *argv, "--seed", "1")
+
+    @pytest.mark.parametrize("message, argv", [
+        (S_MESSAGE.format(s="nan"), ["euclid-unitarity", "--s", "nan"]),
+        (HBAR_MESSAGE, ["euclid-unitarity", "--hbar", "nan"]),
+        (S_MESSAGE.format(s="inf"), ["euclid-unitarity", "--s", "inf"]),
+        (RADII_MESSAGE, ["radial-laplacian", "--radii", "nan"]),
+        (RADII_MESSAGE, ["radial-laplacian", "--radii", "inf"]),
+        ("variance parameter s must be finite and nonnegative (got s=inf)",
+         ["pushforward", "--s", "inf", "--samples", "100"]),
+        (S_MESSAGE.format(s="inf"), ["gram", "--s", "inf", "--samples", "100"]),
+        (HBAR_MESSAGE, ["semigroup-check", "--hbar", "inf", "--samples", "100"]),
+        (S_MESSAGE.format(s="inf"), ["resolution-check", "--s-list", "2,inf", "--samples", "100"]),
+        (HBAR_MESSAGE, ["coherent-overlap", "--hbar", "nan"]),
+    ], ids=["euclid-s-nan", "euclid-hbar-nan", "euclid-s-inf", "radii-nan", "radii-inf", "pushforward-s-inf",
+            "gram-s-inf", "semigroup-hbar-inf", "resolution-s-inf", "coherent-hbar-nan"])
+    def test_non_finite_parameters_exit_2(self, capsys, message, argv):
         self.assert_config_error(capsys, message, *argv, "--seed", "1")
 
     def test_coherent_overlap_default_s_is_limit_states(self, capsys):
@@ -260,6 +281,12 @@ class TestOtherCommands:
             capsys, "laplacian-check", "--group", "u1", "--k", "2",
             "--links", "16", "--seed", "4",
         )
+        assert code == EXIT_OK
+
+    def test_u1_laplacian_check_at_default_step(self, capsys):
+        # a step of 1e-4 max|A| left finite-difference roundoff, which grows
+        # as (N / step)^2, above the 1e-6 tolerance: exit 4
+        code, _, _ = run_cli(capsys, "laplacian-check", "--group", "u1", "--links", "32", "--seed", "1")
         assert code == EXIT_OK
 
     def test_semigroup_check(self, capsys):

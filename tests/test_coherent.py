@@ -15,6 +15,7 @@ from cylgauge.groups import (
     exp_map,
     identity,
 )
+from cylgauge.reduction import gram_isometry_check
 from cylgauge.spectral import (
     CharacterSeries,
     irrep_info,
@@ -137,6 +138,21 @@ class TestResolutionIdentity:
                 exact += weight * rho_s_inner_product(SU2, a, b, s)
                 error_budget += abs(weight) * (row.std_error + 8.0 / 32)
         assert abs(total - exact) <= 3.0 * error_budget
+
+    @pytest.mark.parametrize("group", [U1, SU2], ids=["u1", "su2"])
+    def test_estimates_are_conjugates_of_the_gram(self, group):
+        # E[<chi_a|state><state|chi_b>] is the conjugate of the Gram moment
+        # E[chi_a conj(chi_b)] on the same draws, bit for bit
+        s, hbar = 2.0, 0.5
+        gram = gram_isometry_check(group, 2, s, hbar, 16, 5000, seed=6, n_workers=2)
+        res = resolution_identity_check(group, 2, hbar, [s], 16, 5000, seed=6, n_workers=2)
+        assert len(res.rows) == len(gram.rows) == 6
+        for g, r in zip(gram.rows, res.rows):
+            assert r.quantity == g.quantity.replace("gram", "resolution[s=2]")
+            assert r.estimate.real == g.estimate.real and r.estimate.imag == -g.estimate.imag
+            assert (r.std_error, r.z) == (g.std_error, g.z)
+        assert res.rows[0].quantity.endswith("[0,0]")
+        assert math.copysign(1.0, res.rows[0].estimate.imag) == 1.0  # +0.0, not -0.0
 
     def test_s_below_bound_rejected(self):
         with pytest.raises(ValueError):

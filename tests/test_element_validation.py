@@ -1,17 +1,21 @@
 """Decision table for group-element validation.
 
-Each row is a value; both element classes judge it, and for K values the
-stacked `validate_values` must give GroupElement's verdict, without a
-RuntimeWarning.  The reference is a copy of the ordered checks as every
-construction ran them before validation became one pass: finite entries,
-|det - 1| <= tol * scale, then unitarity.  Every row states its verdicts;
-the reference must agree with them except on the overflow rows, where it
-raised a bare OverflowError or judged a determinant that cannot be formed.
+Each row is a value; both element classes judge it, and the stacked
+`validate_values` must give GroupElement's verdict with unitary=True and
+ComplexGroupElement's with unitary=False, without a RuntimeWarning.  It is
+the one judge: each verdict's message is raised in one place.  The
+reference is a copy of the ordered checks as every construction ran them
+before validation became one pass: finite entries, |det - 1| <= tol *
+scale, then unitarity.  Every row states its verdicts; the reference must
+agree with them except on the overflow rows, where it raised a bare
+OverflowError or judged a determinant that cannot be formed.
 """
 
+import ast
 import cmath
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -75,11 +79,11 @@ def verdict(make):
     return None
 
 
-def stacked_verdict(group, value):
+def stacked_verdict(group, value, unitary):
     values = np.asarray(value, dtype=complex)[None]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        return verdict(lambda: validate_values(group, values))
+        return verdict(lambda: validate_values(group, values, unitary))
 
 
 def _with(position, entry):
@@ -163,7 +167,8 @@ def _check(group, value, on_k, off_k):
         warnings.simplefilter("error")
         assert verdict(lambda: GroupElement(group, value)) == on_k
         assert verdict(lambda: ComplexGroupElement(group, value)) == off_k
-    assert stacked_verdict(group, value) == on_k
+    assert stacked_verdict(group, value, True) == on_k
+    assert stacked_verdict(group, value, False) == off_k
 
 
 @pytest.mark.parametrize("row_id, group, value, on_k, off_k", ROWS, ids=[r[0] for r in ROWS])
@@ -180,6 +185,22 @@ def test_overflow_verdicts(row_id, group, value, on_k, off_k):
     # the fix: the reference differs on each of these rows
     assert (reference_verdict(group, value, True), reference_verdict(group, value, False)) != (on_k, off_k)
     _check(group, value, on_k, off_k)
+
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "cylgauge"
+
+
+@pytest.mark.parametrize("message", [v[1] for v in (DET, NOT_UNITARY, NOT_FINITE, U1_BAD, OVERFLOW)],
+                         ids=["det", "not-unitary", "not-finite", "u1-bad", "overflow"])
+def test_each_verdict_is_raised_in_one_place(message):
+    sites = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Raise)
+        and any(isinstance(c, ast.Constant) and c.value == message for c in ast.walk(node))
+    ]
+    assert len(sites) == 1, sites
 
 
 def test_determinant_overflow_is_a_numerical_error():

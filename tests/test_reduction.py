@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from cylgauge import lattice
+from cylgauge import lattice, reduction
 from cylgauge.groups import GroupKind
 from cylgauge.lattice import (
     LatticeConnection,
@@ -69,10 +69,13 @@ class TestLaplacianReduction:
         rep = laplacian_reduction_check(phi, L)
         assert rep.rows[0].passed
 
-    def test_roundoff_dominated_step_reported(self):
+    def test_roundoff_dominated_step_reported(self, monkeypatch):
+        # the steps the check picks, times 2e-4: roundoff far above the second difference
         L = smooth_connection(SU2, 16, np.random.default_rng(4))
+        real = reduction.lattice_laplacian
+        monkeypatch.setattr(reduction, "lattice_laplacian", lambda phi, L, step: real(phi, L, 2e-4 * step))
         with pytest.raises(FDStepError):
-            laplacian_reduction_check(CharacterSeries.single(SU2, 1), L, fd_step=2e-8)
+            laplacian_reduction_check(CharacterSeries.single(SU2, 1), L)
 
 
 class TestSemigroupReduction:
