@@ -43,7 +43,10 @@ class HeatParams:
                 f"need finite s > hbar/2 (got s={self.s}, hbar={self.hbar}); "
                 "the transform is unitary only in that range"
             )
-        object.__setattr__(self, "r", 2.0 * self.s - self.hbar)
+        r = 2.0 * self.s - self.hbar
+        if r == math.inf:
+            raise ValueError(f"s={self.s} is too large: r = 2s - hbar overflows")
+        object.__setattr__(self, "r", r)
 
 
 def gauss_hermite_lebesgue(n_nodes: int, scale: float):
@@ -133,11 +136,18 @@ def _double_factorial(n: int) -> float:
 
 
 def _normalized_monomials(degree: int, s: float) -> list[np.ndarray]:
-    """q^j scaled to unit norm in L2(R, P_s): ||q^j||^2 = (2j-1)!! s^j."""
+    """q^j scaled to unit norm in L2(R, P_s): ||q^j||^2 = (2j-1)!! s^j, a finite float."""
     basis = []
     for j in range(degree + 1):
+        try:
+            norm2 = _double_factorial(2 * j - 1) * s**j
+        except OverflowError:  # float ** int raises where float * float gives inf
+            norm2 = math.inf
+        if norm2 == math.inf:
+            raise ValueError(
+                f"s={s} is too large for degree {degree}: the norm (2j-1)!! s^j of q^j overflows at j={j}")
         c = np.zeros(j + 1, dtype=complex)
-        c[j] = 1.0 / math.sqrt(_double_factorial(2 * j - 1) * s**j)
+        c[j] = 1.0 / math.sqrt(norm2)
         basis.append(c)
     return basis
 

@@ -305,6 +305,7 @@ def run_resolution_check(o: dict) -> Report:
 
 def run_geodesic(o: dict) -> Report:
     group = _group_of(o["group"])
+    _require(math.isfinite(o["t_max"]), f"t_max must be finite (got t_max={o['t_max']})")
     rng = np.random.default_rng(o["seed"])
     L = lattice.smooth_connection(group, o["links"], rng, amplitude=o["amplitude"])
     x0 = rng.normal(size=group.algebra_dim)

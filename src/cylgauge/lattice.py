@@ -447,14 +447,15 @@ def _gaussian_draw(group: GroupKind, n_sites: int, s: float, hbar: Optional[floa
     from the split Gaussian with densities exp(-q^2/r), exp(-p^2/hbar) per unit-norm
     coordinate, r = 2s - hbar, consuming rng as one whole draw: real part first."""
     shape = (n_sites, group.algebra_dim)
+    if hbar is None and not 0.0 <= s < math.inf:  # NaN fails too
+        raise ValueError(f"variance parameter s must be finite and nonnegative (got s={s})")
+    re_scale = math.sqrt((s if hbar is None else HeatParams(s, hbar).r / 2.0) * n_sites)
+    if re_scale == math.inf:
+        raise ValueError(f"s={s} is too large for N={n_sites} sites: the draw's scale overflows")
     if hbar is None:
-        if not 0.0 <= s < math.inf:  # NaN fails too
-            raise ValueError(f"variance parameter s must be finite and nonnegative (got s={s})")
-        scale = math.sqrt(s * n_sites)
         return lambda rng, m, block: (
-            (_normal(rng, scale, (min(block, m - lo),) + shape), None) for lo in range(0, m, block))
-    r = HeatParams(s, hbar).r
-    re_scale, im_scale = math.sqrt(r / 2.0 * n_sites), math.sqrt(hbar / 2.0 * n_sites)
+            (_normal(rng, re_scale, (min(block, m - lo),) + shape), None) for lo in range(0, m, block))
+    im_scale = math.sqrt(hbar / 2.0 * n_sites)
 
     def draw(rng: np.random.Generator, m: int, block: int):
         re = _normal(rng, re_scale, (m,) + shape)
@@ -610,6 +611,8 @@ def smooth_connection(
 ) -> LatticeConnection:
     """Low-frequency random connection: trigonometric polynomial sampled at
     the sites, so refinements at different N share the underlying profile."""
+    if not math.isfinite(amplitude):
+        raise ValueError(f"amplitude must be finite (got amplitude={amplitude})")
     coeffs = rng.normal(size=(2, SMOOTH_MODES, group.algebra_dim)) * amplitude
     tau = np.arange(n_sites) / n_sites
     values = np.zeros((n_sites, group.algebra_dim))

@@ -4,6 +4,9 @@ The sample budget is split into fixed-size chunks; chunk i draws from its own
 generator spawned deterministically from the master seed, and partial sums are
 reduced in chunk order.  Results are therefore bit-identical for a given
 (seed, chunk_size) no matter how many worker threads evaluate the chunks.
+The calling thread is one of them: it works its share of the chunks beside
+the helper threads, so n_workers threads hold chunk memory, not n_workers
+helpers and an idle caller.
 The variance merges per-chunk centred second moments in the same order
 (Chan, Golub & LeVeque 1979), so a large common offset costs no precision.
 """
@@ -11,7 +14,7 @@ The variance merges per-chunk centred second moments in the same order
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+import threading
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -57,6 +60,10 @@ def chunked_mc_vector(
         raise ValueError("n_samples must be positive")
     if chunk_size < 1:
         raise ValueError("chunk_size must be positive")
+    if n_workers is None:
+        n_workers = 1
+    elif n_workers < 1:
+        raise ValueError(f"n_workers must be at least 1 (got {n_workers})")
     sizes = _chunk_sizes(n_samples, chunk_size)
     streams = np.random.SeedSequence(seed).spawn(len(sizes))
 
@@ -71,11 +78,30 @@ def chunked_mc_vector(
         sums = parts.sum(axis=1)
         return sums, ((parts - sums[:, None] / sizes[idx]) ** 2).sum(axis=1)
 
-    if n_workers is not None and n_workers > 1 and len(sizes) > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            partials = list(pool.map(run_chunk, range(len(sizes))))
-    else:
-        partials = [run_chunk(i) for i in range(len(sizes))]
+    # thread t runs chunks t, t + T, ...; the caller is thread 0
+    n_threads = min(n_workers, len(sizes))
+    partials, errors = [None] * len(sizes), []
+
+    def work(first: int):
+        for idx in range(first, len(sizes), n_threads):
+            partials[idx] = run_chunk(idx)
+
+    def helper(first: int):
+        try:
+            work(first)
+        except Exception as exc:  # re-raised on the calling thread
+            errors.append(exc)
+
+    helpers = [threading.Thread(target=helper, args=(t,)) for t in range(1, n_threads)]
+    for thread in helpers:
+        thread.start()
+    try:
+        work(0)
+    finally:
+        for thread in helpers:
+            thread.join()
+    if errors:
+        raise errors[0]
 
     # rows: real and imaginary parts; fixed chunk order keeps it reproducible
     sums = np.zeros((2, n_quantities))

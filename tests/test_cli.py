@@ -160,6 +160,32 @@ class TestConfigHandling:
     def test_non_finite_parameters_exit_2(self, capsys, message, argv):
         self.assert_config_error(capsys, message, *argv, "--seed", "1")
 
+    @pytest.mark.parametrize("message, argv", [
+        ("s=1e+200 is too large for degree 8: the norm (2j-1)!! s^j of q^j overflows at j=2",
+         ["euclid-unitarity", "--s", "1e200"]),
+        ("s=1e+308 is too large: r = 2s - hbar overflows", ["euclid-unitarity", "--s", "1e308"]),
+        ("s=1e+308 is too large for N=32 sites: the draw's scale overflows",
+         ["pushforward", "--s", "1e308", "--samples", "100"]),
+        ("s=1e+308 is too large: r = 2s - hbar overflows", ["gram", "--s", "1e308", "--samples", "100"]),
+        ("s=1e+307 is too large for N=32 sites: the draw's scale overflows",
+         ["gram", "--s", "1e307", "--samples", "100"]),
+        ("s=1e+307 is too large for N=32 sites: the draw's scale overflows",
+         ["resolution-check", "--s-list", "2,1e307", "--samples", "100"]),
+        ("s=1e+308 is too large for N=32 sites: the draw's scale overflows", ["gauge-check", "--s", "1e308"]),
+    ], ids=["euclid-basis", "euclid-r", "pushforward", "gram-r", "gram-draw", "resolution-draw", "gauge-check"])
+    def test_huge_finite_s_exit_2(self, capsys, message, argv):
+        self.assert_config_error(capsys, message, *argv, "--seed", "1")
+
+    @pytest.mark.parametrize("command, option", [
+        ("laplacian-check", "amplitude"), ("submersion-check", "amplitude"),
+        ("semigroup-check", "amplitude"), ("geodesic", "t_max"),
+    ])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_option_is_named(self, capsys, command, option, value):
+        flag = "--" + option.replace("_", "-")
+        self.assert_config_error(capsys, f"{option} must be finite (got {option}={value})",
+                                 command, f"{flag}={value}", "--seed", "1")
+
     def test_coherent_overlap_default_s_is_limit_states(self, capsys):
         code, out, _ = run_cli(capsys, "coherent-overlap", "--trials", "1", "--seed", "1")
         assert code == EXIT_OK

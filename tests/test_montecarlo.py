@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -67,6 +69,47 @@ class TestChunkedMC:
             chunked_mc_vector(gaussian_column, 1, 0, seed=1)
         with pytest.raises(ValueError):
             chunked_mc_vector(gaussian_column, 1, 10, seed=1, chunk_size=0)
+        for n_workers in (0, -3):
+            with pytest.raises(ValueError, match="n_workers must be at least 1"):
+                chunked_mc_vector(gaussian_column, 1, 10, seed=1, n_workers=n_workers)
+
+
+class TestWorkerThreads:
+    """Five chunks: the caller runs chunks beside min(n_workers, 5) - 1
+    helper threads, and the estimates keep their bits."""
+
+    N_CHUNKS = 5
+
+    @classmethod
+    def run(cls, n_workers, fails=lambda: False):
+        threads = []  # of each chunk: Thread objects, as a finished thread's ident can be reused
+
+        def sampler(rng, m):
+            threads.append(threading.current_thread())
+            if fails():
+                raise RuntimeError("chunk failed")
+            return np.stack([rng.normal(size=m) + 0j, rng.normal(size=m) * 1j], axis=1)
+
+        ests = chunked_mc_vector(sampler, 2, 1000 * cls.N_CHUNKS, seed=4, chunk_size=1000, n_workers=n_workers)
+        return [(e.mean, e.std_error) for e in ests], threads
+
+    @pytest.mark.parametrize("n_workers", [None, 1, 2, 3, 5, 8])
+    def test_caller_works_beside_the_helpers(self, n_workers):
+        _, threads = self.run(n_workers)
+        caller = threading.current_thread()
+        assert len(threads) == self.N_CHUNKS and caller in threads
+        assert len(set(threads) - {caller}) == min(n_workers or 1, self.N_CHUNKS) - 1
+
+    def test_estimates_keep_their_bits_at_every_worker_count(self):
+        serial, _ = self.run(None)
+        for n_workers in (1, 2, 3, 8):
+            assert self.run(n_workers)[0] == serial
+
+    @pytest.mark.parametrize("on_caller", [True, False], ids=["caller", "helper"])
+    def test_chunk_exception_propagates(self, on_caller):
+        caller = threading.current_thread()
+        with pytest.raises(RuntimeError, match="chunk failed"):
+            self.run(3, lambda: (threading.current_thread() is caller) == on_caller)
 
 
 class TestMCEstimate:
